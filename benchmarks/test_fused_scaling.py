@@ -1,20 +1,16 @@
-"""Fused gate-segment scaling: the tail as a handful of contractions.
+"""Tail-plan scaling: packed and float32 compiles against the exact plan.
 
-Batched evaluation (PR 2) already stacks every fault branch into one
-array, but it still walks the tail gate by gate — each primitive op is a
-separate einsum over the whole batch, and on the density-matrix backend
-each noisy gate additionally re-derives its Kraus superoperator per
-call. Segment fusion precompiles the tail once per circuit: the default
-(unpacked) compile hoists all matrix construction out of the campaign
-loop while keeping records bit-identical to the unfused executors; the
-``bit_identical=False`` waiver packs adjacent gates into one matrix per
-segment; and the opt-in float32 fast path runs those packed segments in
-single precision.
+Every executor runs a circuit suffix as a compiled tail plan. The default
+(unpacked) compile emits one segment per primitive operation, hoisting
+all matrix construction out of the campaign loop while keeping records
+bit-identical to the naive full re-simulation; the ``bit_identical=False``
+waiver packs adjacent operations into one matrix per segment; and the
+opt-in float32 fast path runs those packed segments in single precision.
 
 This bench pins the acceptance number on the deep-tail workload — the
 QFT(6) density-matrix campaign under the full 15-degree,
 312-configuration grid — requiring >= 2x from the fast path over the
-exact unfused ``BatchedExecutor``, with a softer regression pin on the
+exact unpacked ``BatchedExecutor``, with a softer regression pin on the
 exact packed compile, and archives the measured timings as
 ``fused_timings.json`` (uploaded by the bench-smoke CI job, kept out of
 git like the other timing artifacts).
@@ -26,7 +22,7 @@ import time
 import numpy as np
 
 from repro.algorithms import qft
-from repro.faults import BatchedExecutor, QuFI, fault_grid
+from repro.faults import BatchedExecutor, QuFI, SerialExecutor, fault_grid
 from repro.scenarios.factory import light_noise_model
 from repro.simulators import DensityMatrixSimulator
 
@@ -82,12 +78,12 @@ class TestFusedSpeedup:
                 BatchedExecutor(), spec, faults
             )
             packed, t_packed = timed_campaign(
-                BatchedExecutor(fused=True, segment_options={"pack": True}),
+                BatchedExecutor(segment_options={"pack": True}),
                 spec,
                 faults,
             )
             fast, t_fast = timed_campaign(
-                BatchedExecutor(fused=True, precision="float32"),
+                BatchedExecutor(precision="float32"),
                 spec,
                 faults,
             )
@@ -155,14 +151,17 @@ class TestFusedSpeedup:
         assert best["packed"] >= PACKED_PIN
 
     def test_default_fused_stays_bit_identical(self):
-        """The default (unpacked) fused compile trades less speed for a
-        hard guarantee; the equivalence harness sweeps this exhaustively
-        at width 3 — this is the paper-scale spot check."""
+        """The default (unpacked) plan compile trades less speed for a
+        hard guarantee: records equal the naive full re-simulation. The
+        equivalence harness sweeps this exhaustively at width 3 — this
+        is the paper-scale spot check."""
         spec = qft(NUM_QUBITS)
         faults = fault_grid(step_deg=90)
-        baseline, _ = timed_campaign(BatchedExecutor(), spec, faults)
+        baseline, _ = timed_campaign(
+            SerialExecutor(prefix_reuse=False), spec, faults
+        )
         fused, _ = timed_campaign(
-            BatchedExecutor(fused=True), spec, faults
+            BatchedExecutor(), spec, faults
         )
         assert (
             fused.table.data.tobytes() == baseline.table.data.tobytes()

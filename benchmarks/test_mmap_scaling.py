@@ -7,10 +7,13 @@ byte size — while producing aggregates identical to the eager loader,
 which by construction materialises the whole table.
 
 tracemalloc cannot see memory-mapped pages (they are not Python
-allocations), so each measurement runs in a subprocess and reads
-``resource.getrusage(RUSAGE_SELF).ru_maxrss``; a baseline subprocess
-(same imports, store opened header-only) is subtracted so the assertion
-tracks the aggregation's own footprint, not the interpreter's. Timings
+allocations), so each measurement runs in a subprocess and reads its own
+high-water mark, ``VmHWM`` from ``/proc/self/status`` (``ru_maxrss`` would
+not do: across fork+exec it keeps the parent's peak, so every driver
+would report the pytest process's RSS and the pin could never fail); a
+baseline subprocess (same imports, store opened header-only) is
+subtracted so the assertion tracks the aggregation's own footprint, not
+the interpreter's. Timings
 and RSS numbers land in ``mmap_timings.json`` so CI can archive the
 trend next to the aggregation-speedup artifact.
 """
@@ -33,7 +36,7 @@ TIMINGS_PATH = "mmap_timings.json"
 RSS_FRACTION = 0.25  # lazy budget, as a fraction of table bytes
 
 _DRIVER = """
-import json, resource, sys, time
+import json, sys, time
 
 path, mode = sys.argv[1], sys.argv[2]
 import numpy as np
@@ -75,7 +78,9 @@ else:
     out = aggregates(result)
     out["table_nbytes"] = int(result.table.data.nbytes)
 out["seconds"] = time.perf_counter() - start
-out["peak_rss"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+out["peak_rss"] = int(hwm.split()[1]) * 1024  # reported in kB
 print(json.dumps(out))
 """
 

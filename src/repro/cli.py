@@ -147,16 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "precompile the gate runs between injection positions into "
-            "fused segment matrices and apply each as one contraction; "
-            "compiled segments are cached and shared across the sweep"
-        ),
-    )
-    campaign.add_argument(
         "--memory-budget",
         default=None,
         help=(
@@ -662,7 +652,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
         workers=workers,
         machine=machine,
         transpile=transpile,
-        fused=args.fused,
         memory_budget=args.memory_budget,
         trajectories=args.trajectories,
         adaptive=adaptive,

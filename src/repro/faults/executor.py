@@ -7,24 +7,25 @@ applications even though every fault at the same injection point shares an
 identical circuit prefix. This module is the engine that removes the
 redundancy and scales what remains:
 
-* **Prefix-state reuse** — on backends implementing the snapshot protocol
-  (:class:`~repro.simulators.backend.SnapshotBackend`: the statevector and
-  density-matrix simulators), the circuit is simulated once up to each
-  injection position, the state is frozen, and every fault branches from
-  the frozen state through the remaining suffix only. Consecutive
-  positions extend one running prefix, so a full campaign pays for each
-  circuit prefix exactly once: ``O(points x (depth + faults x suffix))``.
-  Branches replay exactly the operation sequence a full re-simulation
-  would, so results are **bit-identical** to the naive sweep.
+* **Prefix-state reuse** — on backends implementing the batched snapshot
+  protocol (:class:`~repro.simulators.backend.BatchedSnapshotBackend`:
+  the statevector and density-matrix simulators), the circuit is
+  simulated once up to each injection position, the state is frozen, and
+  every fault branches from the frozen state through the remaining
+  suffix only. Consecutive positions extend one running prefix, so a
+  full campaign pays for each circuit prefix exactly once:
+  ``O(points x (depth + faults x suffix))``. The suffix of each position
+  is compiled once into a :class:`~repro.simulators.segments.TailPlan`
+  that every branch replays — by default the exact operation sequence a
+  full re-simulation would apply, so results are **bit-identical** to
+  the naive sweep (``SerialExecutor(prefix_reuse=False)``).
 
 * **Batched branch evaluation** — :class:`BatchedExecutor` goes one step
-  further on backends implementing the batched protocol
-  (:class:`~repro.simulators.backend.BatchedSnapshotBackend`): the fault
-  branches of one injection point stack into a single ``(B, 2**n)`` /
-  ``(B, 2**n, 2**n)`` array, injector rotations and tail gates apply as
-  one contraction per gate across the whole batch, and QVF is scored with
-  the vectorized Michelson contrast — removing the per-branch Python loop
-  that dominates once prefixes are amortised.
+  further: the fault branches of one injection point stack into a single
+  ``(B, 2**n)`` / ``(B, 2**n, 2**n)`` array, injector rotations and the
+  tail plan apply as one contraction per segment across the whole batch,
+  and QVF is scored with the vectorized Michelson contrast — removing the
+  per-branch Python loop that dominates once prefixes are amortised.
 
 * **Pluggable execution strategies** — :class:`SerialExecutor` runs
   in-process; :class:`ParallelExecutor` fans position-aligned chunks of
@@ -94,8 +95,6 @@ from ..simulators.backend import (
     Backend,
     BranchBatch,
     supports_batched_branches,
-    supports_fused_segments,
-    supports_snapshots,
 )
 from ..simulators.sampler import Result
 from ..simulators.segments import SegmentCompiler
@@ -119,24 +118,18 @@ __all__ = [
 
 BatchCallback = Callable[[RecordTable], None]
 
-# Numeric modes an executor can run fused campaigns in. ``"exact"`` keeps
+# Numeric modes an executor can compile tail plans in. ``"exact"`` keeps
 # complex128 segments and the bit-identity guarantees; ``"float32"``
-# compiles complex64 segments (optionally contracted through opt_einsum)
-# and explicitly waives bit-identity, so it is only legal together with
-# ``fused=True`` and a spec-level waiver.
+# compiles complex64 segments and explicitly waives bit-identity, so the
+# scenario layer only admits it together with ``bit_identical=False``.
 _PRECISIONS = ("exact", "float32")
 
 
-def _check_fusion_config(fused: bool, precision: str) -> None:
-    """Reject inconsistent fusion/precision combinations early."""
+def _check_precision(precision: str) -> None:
+    """Reject unknown precisions early."""
     if precision not in _PRECISIONS:
         raise ValueError(
             f"precision must be one of {_PRECISIONS}, got {precision!r}"
-        )
-    if precision != "exact" and not fused:
-        raise ValueError(
-            "the float32 fast path runs on fused segments; "
-            "precision='float32' requires fused=True"
         )
 
 
@@ -285,20 +278,6 @@ def _branch_head(task: InjectionTask) -> List[Instruction]:
     return head
 
 
-def _fault_tail(
-    circuit: QuantumCircuit, task: InjectionTask
-) -> List[Instruction]:
-    """The faulty circuit's continuation after ``task.point``'s prefix.
-
-    Injector gate(s) followed by the original suffix — exactly the
-    instruction sequence :func:`build_faulty_circuit` would place after
-    instruction ``point.position``.
-    """
-    tail = _branch_head(task)
-    tail.extend(circuit.instructions[task.point.position + 1 :])
-    return tail
-
-
 # ----------------------------------------------------------------------
 # Scoring (single definition shared by QuFI and every strategy)
 # ----------------------------------------------------------------------
@@ -432,21 +411,19 @@ def _iter_scored_tasks(
     plan: CampaignPlan,
     tasks: Sequence[InjectionTask],
     rng: np.random.Generator,
-    prefix_reuse: bool,
-    compiler: Optional[SegmentCompiler] = None,
+    compiler: Optional[SegmentCompiler],
 ) -> Iterator[Tuple[InjectionTask, float]]:
     """Execute ``tasks`` in order, yielding ``(task, qvf)`` per task.
 
-    On snapshot-capable backends with ``prefix_reuse`` the shared prefix of
-    each run of same-position tasks is simulated once and extended
-    incrementally across positions; otherwise every task rebuilds and
-    re-runs its full faulty circuit (the legacy behaviour). With a
-    ``compiler`` (fused mode) each branch passes only its injector head
-    as the tail and the shared suffix runs as the compiler's precompiled
-    segment plan for that position.
+    With a ``compiler`` (prefix reuse on a batched snapshot backend) the
+    shared prefix of each run of same-position tasks is simulated once
+    and extended incrementally across positions; each branch passes only
+    its injector head and the suffix runs as the compiler's tail plan for
+    that position. Without one, every task rebuilds and re-runs its full
+    faulty circuit (the naive sweep).
     """
     circuit = plan.circuit
-    if prefix_reuse and supports_snapshots(backend):
+    if compiler is not None:
         snapshot = None
         for position, group in itertools.groupby(
             tasks, key=lambda task: task.point.position
@@ -454,27 +431,15 @@ def _iter_scored_tasks(
             snapshot = backend.prefix_snapshot(
                 circuit, stop=position + 1, base=snapshot
             )
-            tail_plan = (
-                compiler.tail_plan(position + 1)
-                if compiler is not None
-                else None
-            )
+            tail_plan = compiler.tail_plan(position + 1)
             for task in group:
-                if tail_plan is not None:
-                    result = backend.run_from_snapshot(
-                        snapshot,
-                        circuit,
-                        _branch_head(task),
-                        shots=plan.shots,
-                        plan=tail_plan,
-                    )
-                else:
-                    result = backend.run_from_snapshot(
-                        snapshot,
-                        circuit,
-                        _fault_tail(circuit, task),
-                        shots=plan.shots,
-                    )
+                result = backend.run_from_snapshot(
+                    snapshot,
+                    circuit,
+                    _branch_head(task),
+                    shots=plan.shots,
+                    plan=tail_plan,
+                )
                 yield task, score_result(
                     result,
                     plan.correct_states,
@@ -518,7 +483,7 @@ def _iter_scored_groups(
     tasks: Sequence[InjectionTask],
     rng: np.random.Generator,
     max_branches: int,
-    compiler: Optional[SegmentCompiler] = None,
+    compiler: SegmentCompiler,
 ) -> Iterator[Tuple[List[InjectionTask], np.ndarray]]:
     """Execute ``tasks`` in order, one stacked batch per injection point.
 
@@ -530,9 +495,9 @@ def _iter_scored_groups(
     consecutive sub-batches (tiles) to bound peak memory (a
     density-matrix branch is ``16 * 4**n`` bytes). The prefix snapshot
     extends across groups exactly as the serial loop extends it across
-    positions. With a ``compiler`` (fused mode) the shared tail of every
-    tile runs as that position's precompiled segment plan instead of
-    gate by gate. Yields each sub-batch with its scored QVF array.
+    positions, and the shared tail of every tile runs as the
+    ``compiler``'s plan for that position. Yields each sub-batch with its
+    scored QVF array.
     """
     circuit = plan.circuit
     snapshot = None
@@ -551,29 +516,17 @@ def _iter_scored_groups(
         snapshot = backend.prefix_snapshot(
             circuit, stop=position + 1, base=snapshot
         )
-        tail_plan = (
-            compiler.tail_plan(position + 1)
-            if compiler is not None
-            else None
-        )
+        tail_plan = compiler.tail_plan(position + 1)
         chunk = list(group)
         for start in range(0, len(chunk), max_branches):
             sub = chunk[start : start + max_branches]
-            if tail_plan is not None:
-                batch = backend.run_branches_from_snapshot(
-                    snapshot,
-                    circuit,
-                    [_branch_head(task) for task in sub],
-                    shots=plan.shots,
-                    plan=tail_plan,
-                )
-            else:
-                batch = backend.run_branches_from_snapshot(
-                    snapshot,
-                    circuit,
-                    [_branch_head(task) for task in sub],
-                    shots=plan.shots,
-                )
+            batch = backend.run_branches_from_snapshot(
+                snapshot,
+                circuit,
+                [_branch_head(task) for task in sub],
+                shots=plan.shots,
+                plan=tail_plan,
+            )
             if (
                 plan.per_task_seeding
                 and plan.shots is not None
@@ -604,15 +557,12 @@ def _execute_tasks(
     plan: CampaignPlan,
     tasks: Sequence[InjectionTask],
     rng: np.random.Generator,
-    prefix_reuse: bool,
-    compiler: Optional[SegmentCompiler] = None,
+    compiler: Optional[SegmentCompiler],
 ) -> RecordTable:
     """Run ``tasks`` serially and return them as one columnar block."""
     scored_tasks: List[InjectionTask] = []
     qvfs: List[float] = []
-    for task, qvf in _iter_scored_tasks(
-        backend, plan, tasks, rng, prefix_reuse, compiler
-    ):
+    for task, qvf in _iter_scored_tasks(backend, plan, tasks, rng, compiler):
         scored_tasks.append(task)
         qvfs.append(qvf)
     return _table_from_tasks(scored_tasks, qvfs)
@@ -636,36 +586,57 @@ def _reseed_backend(backend: Backend, rng: np.random.Generator) -> None:
         backend._rng = np.random.default_rng(rng.integers(0, 2**63))
 
 
+def _compiler_key(compiler: SegmentCompiler) -> tuple:
+    """What a compiler folded in: the circuit and noise-model identities,
+    the state representation, dtype, packing and support caps. Two runs
+    may share a compiler only when all of these agree."""
+    return (
+        id(compiler.circuit),
+        compiler.superop,
+        id(compiler.noise_model),
+        compiler.dtype,
+        compiler.pack,
+        compiler.max_unitary_qubits,
+        compiler.max_superop_qubits,
+    )
+
+
+def _tail_compiler(
+    backend: Backend,
+    circuit: QuantumCircuit,
+    prefix_reuse: bool,
+    options: dict,
+) -> Optional[SegmentCompiler]:
+    """A fresh segment compiler for ``circuit``, or ``None`` when the
+    campaign runs naively (no prefix reuse, or a backend without the
+    batched snapshot protocol)."""
+    if not (prefix_reuse and supports_batched_branches(backend)):
+        return None
+    return backend.tail_compiler(circuit, **options)
+
+
 def _run_chunk(
     backend: Backend,
     plan: CampaignPlan,
     tasks: Tuple[InjectionTask, ...],
     seed_material: Optional[Tuple[int, int]],
     prefix_reuse: bool,
-    fusion: Optional[Tuple[bool, str, Optional[dict]]] = None,
+    compiler_options: Optional[dict] = None,
 ) -> RecordTable:
     """Worker-process entry point: execute one chunk with its own rng.
 
     Returns the chunk as one columnar block — tables pickle back to the
     parent as a handful of arrays instead of thousands of dataclasses.
-    ``fusion`` carries the parent's ``(fused, precision,
-    segment_options)`` configuration; the worker rebuilds its own
-    segment compiler from it (compilation is deterministic, so every
+    The worker rebuilds its own segment compiler from the parent's
+    ``compiler_options`` (compilation is deterministic, so every
     worker's segments match the parent's bit for bit).
     """
     rng = np.random.default_rng(seed_material)
     _reseed_backend(backend, rng)
-    compiler = None
-    if (
-        fusion is not None
-        and fusion[0]
-        and prefix_reuse
-        and supports_fused_segments(backend)
-    ):
-        compiler = backend.tail_compiler(
-            plan.circuit, **_compiler_options(fusion[1], fusion[2])
-        )
-    return _execute_tasks(backend, plan, tasks, rng, prefix_reuse, compiler)
+    compiler = _tail_compiler(
+        backend, plan.circuit, prefix_reuse, compiler_options or {}
+    )
+    return _execute_tasks(backend, plan, tasks, rng, compiler)
 
 
 # Batch-sized arrays simultaneously alive while one tile advances: the
@@ -763,24 +734,23 @@ class BaseExecutor:
 class SerialExecutor(BaseExecutor):
     """In-process execution with prefix-state reuse.
 
-    The default strategy of :class:`~repro.faults.injector.QuFI`. With
-    ``prefix_reuse=False`` it degrades to the legacy per-injection full
-    re-simulation (useful as a baseline and for backends whose snapshots
-    are unavailable).
+    The default strategy of :class:`~repro.faults.injector.QuFI`. On
+    backends implementing the batched snapshot protocol
+    (:class:`~repro.simulators.backend.BatchedSnapshotBackend`) each
+    injection position's shared circuit suffix is compiled once into a
+    :class:`~repro.simulators.segments.TailPlan` and every branch applies
+    that plan. Compilers are cached on the executor by what they fold in
+    — circuit, state representation, noise model, dtype, packing — and
+    may be primed externally via :meth:`prime_segment_compiler`, which
+    is how the scenario factory shares compilations across a suite.
 
-    ``fused=True`` opts into segment fusion on backends implementing the
-    fused protocol (:class:`~repro.simulators.backend.
-    FusedSnapshotBackend`): each injection position's shared circuit
-    suffix is precompiled once into fused unitary/superoperator segments
-    and every branch applies those instead of walking the tail gate by
-    gate. Compilers are cached per circuit on the executor (and may be
-    primed externally via :meth:`prime_segment_compiler`, which is how
-    the scenario factory shares compilations across a suite).
-    ``precision="float32"`` additionally compiles complex64 segments —
-    faster, but it waives the bit-identity guarantee and therefore
-    requires ``fused=True``. ``segment_options`` forward to the
-    backend's :class:`~repro.simulators.segments.SegmentCompiler`
-    (``pack``, support caps).
+    With ``prefix_reuse=False`` (or a backend without the protocol) it
+    degrades to the naive per-injection full re-simulation: the oracle
+    every other path is checked against. ``precision="float32"``
+    compiles complex64 segments — faster, but it waives the
+    bit-identity guarantee. ``segment_options`` forward to the backend's
+    :class:`~repro.simulators.segments.SegmentCompiler` (``pack``,
+    support caps).
     """
 
     name = "serial"
@@ -789,16 +759,14 @@ class SerialExecutor(BaseExecutor):
         self,
         prefix_reuse: bool = True,
         batch_size: int = 64,
-        fused: bool = False,
         precision: str = "exact",
         segment_options: Optional[dict] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        _check_fusion_config(fused, precision)
+        _check_precision(precision)
         self.prefix_reuse = bool(prefix_reuse)
         self.batch_size = int(batch_size)
-        self.fused = bool(fused)
         self.precision = precision
         self.segment_options = (
             dict(segment_options) if segment_options else None
@@ -810,7 +778,6 @@ class SerialExecutor(BaseExecutor):
         clone = SerialExecutor(
             prefix_reuse=self.prefix_reuse,
             batch_size=max(1, min(self.batch_size, limit)),
-            fused=self.fused,
             precision=self.precision,
             segment_options=self.segment_options,
         )
@@ -818,40 +785,36 @@ class SerialExecutor(BaseExecutor):
         return clone
 
     def prime_segment_compiler(self, compiler: SegmentCompiler) -> None:
-        """Register an externally built compiler for its circuit.
+        """Register an externally built compiler.
 
-        Fused runs over that exact circuit object then reuse the primed
-        compiler (and its already-compiled tail plans) instead of
-        compiling from scratch — the scenario factory uses this to share
-        one compilation across every scenario of a suite.
+        Runs whose backend would build an equivalent compiler (same
+        circuit object, state representation, noise model, dtype and
+        packing) then reuse the primed one — and its already-compiled
+        tail plans — instead of compiling from scratch. The scenario
+        factory uses this to share one compilation across every
+        scenario of a suite.
         """
-        self._compilers[id(compiler.circuit)] = (compiler.circuit, compiler)
+        self._compilers[_compiler_key(compiler)] = compiler
 
     def _segment_compiler(
         self, backend: Backend, circuit: QuantumCircuit
     ) -> Optional[SegmentCompiler]:
-        """The (cached) segment compiler for ``circuit``, or ``None``.
+        """The (cached) segment compiler for ``circuit`` on ``backend``,
+        or ``None`` when the campaign runs naively.
 
-        Returns ``None`` unless this executor is fused, reuses prefixes,
-        and the backend implements the fused protocol. Cache entries key
-        by circuit identity and hold a strong reference to the circuit,
-        so a recycled ``id`` can never alias a dead entry.
+        The cache key holds the identities of the circuit and noise
+        model; the cached compiler keeps both alive, so a recycled
+        ``id`` can never alias a dead entry.
         """
-        if not (
-            self.fused
-            and self.prefix_reuse
-            and supports_fused_segments(backend)
-        ):
-            return None
-        entry = self._compilers.get(id(circuit))
-        if entry is not None and entry[0] is circuit:
-            return entry[1]
-        compiler = backend.tail_compiler(
+        fresh = _tail_compiler(
+            backend,
             circuit,
-            **_compiler_options(self.precision, self.segment_options),
+            self.prefix_reuse,
+            _compiler_options(self.precision, self.segment_options),
         )
-        self._compilers[id(circuit)] = (circuit, compiler)
-        return compiler
+        if fresh is None:
+            return None
+        return self._compilers.setdefault(_compiler_key(fresh), fresh)
 
     def _block_stream(
         self,
@@ -865,7 +828,7 @@ class SerialExecutor(BaseExecutor):
         qvfs: List[float] = []
         compiler = self._segment_compiler(backend, plan.circuit)
         for task, qvf in _iter_scored_tasks(
-            backend, plan, plan.tasks, rng, self.prefix_reuse, compiler
+            backend, plan, plan.tasks, rng, compiler
         ):
             pending.append(task)
             qvfs.append(qvf)
@@ -900,18 +863,19 @@ class BatchedExecutor(SerialExecutor):
     (:class:`~repro.simulators.backend.BatchedSnapshotBackend`: the
     statevector and density-matrix simulators) all fault branches at one
     injection point evaluate as a single stacked array — per-branch
-    injector rotations as one contraction over the batch axis, each shared
-    tail gate applied across the whole batch, and QVF scored with the
-    vectorized Michelson contrast. Exact-mode records are bit-identical to
-    :class:`SerialExecutor` (which is itself bit-identical to the naive
-    sweep); sampled mode consumes the injector's random stream branch by
-    branch in task order, so those records match serial execution too.
+    injector rotations as one contraction over the batch axis, the
+    position's tail plan applied across the whole batch, and QVF scored
+    with the vectorized Michelson contrast. Exact-mode records are
+    bit-identical to :class:`SerialExecutor` (which is itself
+    bit-identical to the naive sweep); sampled mode consumes the
+    injector's random stream branch by branch in task order, so those
+    records match serial execution too.
 
     ``max_branches`` caps how many branches stack at once (a density-matrix
     branch is ``16 * 4**n`` bytes, so unbounded stacking would exhaust
     memory on wide circuits); ``memory_budget`` (bytes) tightens that cap
     dynamically per backend and circuit width via
-    :meth:`~repro.simulators.backend.FusedSnapshotBackend.
+    :meth:`~repro.simulators.backend.BatchedSnapshotBackend.
     branch_state_nbytes`, so wide campaigns stream through small tiles
     instead of OOMing. Tiling never changes records: every tile size
     produces bit-identical tables. Backends without the batched
@@ -926,7 +890,6 @@ class BatchedExecutor(SerialExecutor):
         max_branches: int = 64,
         batch_size: int = 64,
         prefix_reuse: bool = True,
-        fused: bool = False,
         precision: str = "exact",
         segment_options: Optional[dict] = None,
         memory_budget: Optional[int] = None,
@@ -934,7 +897,6 @@ class BatchedExecutor(SerialExecutor):
         super().__init__(
             prefix_reuse=prefix_reuse,
             batch_size=batch_size,
-            fused=fused,
             precision=precision,
             segment_options=segment_options,
         )
@@ -953,7 +915,6 @@ class BatchedExecutor(SerialExecutor):
             max_branches=self.max_branches,
             batch_size=max(1, min(self.batch_size, limit)),
             prefix_reuse=self.prefix_reuse,
-            fused=self.fused,
             precision=self.precision,
             segment_options=self.segment_options,
             memory_budget=self.memory_budget,
@@ -967,10 +928,10 @@ class BatchedExecutor(SerialExecutor):
         plan: CampaignPlan,
         rng: np.random.Generator,
     ) -> Iterator[RecordTable]:
-        if not (self.prefix_reuse and supports_batched_branches(backend)):
+        compiler = self._segment_compiler(backend, plan.circuit)
+        if compiler is None:
             yield from super()._block_stream(backend, plan, rng)
             return
-        compiler = self._segment_compiler(backend, plan.circuit)
         limit = _tile_limit(
             backend,
             plan.circuit.num_qubits,
@@ -1024,7 +985,6 @@ class ParallelExecutor(BaseExecutor):
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         prefix_reuse: bool = True,
-        fused: bool = False,
         precision: str = "exact",
         segment_options: Optional[dict] = None,
         pool_cap: Optional[int] = None,
@@ -1035,7 +995,7 @@ class ParallelExecutor(BaseExecutor):
             raise ValueError("chunk_size must be positive")
         if pool_cap is not None and pool_cap < 1:
             raise ValueError("pool_cap must be positive when given")
-        _check_fusion_config(fused, precision)
+        _check_precision(precision)
         self.workers = workers
         self.chunk_size = chunk_size
         #: Hard ceiling on *pool processes*, independent of ``workers``.
@@ -1047,19 +1007,12 @@ class ParallelExecutor(BaseExecutor):
         #: uncapped run.
         self.pool_cap = pool_cap
         self.prefix_reuse = bool(prefix_reuse)
-        self.fused = bool(fused)
         self.precision = precision
         self.segment_options = (
             dict(segment_options) if segment_options else None
         )
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_owner: Optional["ParallelExecutor"] = None
-
-    def _fusion_config(self) -> Optional[Tuple[bool, str, Optional[dict]]]:
-        """The picklable fusion tuple workers rebuild compilers from."""
-        if not self.fused:
-            return None
-        return (self.fused, self.precision, self.segment_options)
 
     # ------------------------------------------------------------------
     # Long-lived pool lifecycle (hoisted out of ``run`` for suite reuse)
@@ -1101,7 +1054,6 @@ class ParallelExecutor(BaseExecutor):
             workers=self.workers,
             chunk_size=min(self.chunk_size or limit, limit),
             prefix_reuse=self.prefix_reuse,
-            fused=self.fused,
             precision=self.precision,
             segment_options=self.segment_options,
             pool_cap=self.pool_cap,
@@ -1125,14 +1077,12 @@ class ParallelExecutor(BaseExecutor):
     def _serial_fallback(self) -> SerialExecutor:
         """The in-process stand-in for degraded parallel runs.
 
-        Carries the fusion configuration so a degraded fused campaign
-        still runs fused (compilation determinism keeps its records
-        identical to the pooled run's).
+        Carries the compilation configuration (compilation determinism
+        keeps its records identical to the pooled run's).
         """
         return SerialExecutor(
             prefix_reuse=self.prefix_reuse,
             batch_size=self.chunk_size or 64,
-            fused=self.fused,
             precision=self.precision,
             segment_options=self.segment_options,
         )
@@ -1196,7 +1146,9 @@ class ParallelExecutor(BaseExecutor):
                     max_workers=self._capped(min(workers, len(chunks)))
                 )
             try:
-                fusion = self._fusion_config()
+                options = _compiler_options(
+                    self.precision, self.segment_options
+                )
                 future_index = {
                     pool.submit(
                         _run_chunk,
@@ -1205,7 +1157,7 @@ class ParallelExecutor(BaseExecutor):
                         chunk,
                         seed,
                         self.prefix_reuse,
-                        fusion,
+                        options,
                     ): index
                     for index, (chunk, seed) in enumerate(zip(chunks, seeds))
                 }

@@ -644,10 +644,10 @@ def _segment_options(spec: ScenarioSpec) -> Dict[str, object]:
     """The spec's segment-compiler options (``pack`` from the waiver).
 
     Specs holding the bit-identity guarantee (the default) compile
-    unpacked segments — fused records stay bit-identical to the unfused
-    executors. Waiving it (``bit_identical=False``) unlocks packed
+    unpacked segments — records stay bit-identical to the naive full
+    re-simulation. Waiving it (``bit_identical=False``) packs
     composition: the fastest compile, whose records are bitwise-stable
-    across executors and tile sizes but not against the per-gate loops.
+    across executors and tile sizes but not against the per-gate oracle.
     """
     return {"pack": not spec.bit_identical}
 
@@ -657,15 +657,15 @@ def make_segment_compiler(
 ):
     """The scenario's shared segment compiler, or ``None``.
 
-    Fused scenarios on the exact simulator backends get one
+    Scenarios on the exact simulator backends get one
     :class:`~repro.simulators.segments.SegmentCompiler` per ``(circuit,
-    backend kind, noise, precision)`` fragment, memoised in the
+    backend kind, noise, precision, packing)`` fragment, memoised in the
     :class:`FactoryCache` — so every scenario of a suite that shares a
-    circuit and noise model also shares its compiled tail segments
-    instead of recompiling per campaign. Non-fused scenarios and
-    non-fusable backends (trajectory, machines) return ``None``.
+    circuit and noise model also shares its compiled tail plans instead
+    of recompiling per campaign. Backends without tail plans
+    (trajectory, machines, the mitigation wrapper) return ``None``.
     """
-    if not spec.fused:
+    if spec.mitigation:
         return None
     kind = spec.backend
     if kind == "auto":
@@ -719,24 +719,23 @@ def make_executor(
 ) -> BaseExecutor:
     """The spec's execution strategy (fresh, config-only instance).
 
-    Fused specs get executors carrying the fusion configuration; with a
-    ``cache``, the suite-shared segment compiler is primed onto the
-    executor so campaigns over the same circuit reuse one compilation.
+    Executors carry the spec's compilation configuration (precision,
+    packing); with a ``cache``, the suite-shared segment compiler is
+    primed onto the executor so campaigns over the same circuit reuse
+    one compilation.
     ``pool_cap`` bounds a parallel strategy's *pool processes* without
     touching its chunk partitioning (records stay byte-identical) — the
     shard scheduler's way of dividing the host between concurrent
     campaigns; serial/batched strategies ignore it.
     """
-    segment_options = _segment_options(spec) if spec.fused else None
+    segment_options = _segment_options(spec)
     if spec.executor == "serial":
         executor: BaseExecutor = SerialExecutor(
-            fused=spec.fused,
             precision=spec.precision,
             segment_options=segment_options,
         )
     elif spec.executor == "batched":
         executor = BatchedExecutor(
-            fused=spec.fused,
             precision=spec.precision,
             segment_options=segment_options,
             memory_budget=spec.memory_budget,
@@ -744,16 +743,13 @@ def make_executor(
     elif spec.executor == "parallel":
         executor = ParallelExecutor(
             workers=spec.workers,
-            fused=spec.fused,
             precision=spec.precision,
             segment_options=segment_options,
             pool_cap=pool_cap,
         )
     else:
         raise ValueError(f"unknown executor strategy {spec.executor!r}")
-    if spec.fused and cache is not None and hasattr(
-        executor, "prime_segment_compiler"
-    ):
+    if cache is not None and hasattr(executor, "prime_segment_compiler"):
         compiler = make_segment_compiler(spec, cache)
         if compiler is not None:
             executor.prime_segment_compiler(compiler)

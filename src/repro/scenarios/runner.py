@@ -531,27 +531,23 @@ class SuiteRunner:
         process pool, so all parallel scenarios of a suite share one
         started executor instead of paying pool spawn/teardown per
         campaign (``ParallelExecutor.run`` degrades gracefully if the
-        sandbox forbids subprocesses). The pool key includes the fusion
-        configuration — fused and unfused scenarios must not swap
-        executors, and the compiler options ride on the executor.
+        sandbox forbids subprocesses). The pool key includes the
+        compilation configuration — the compiler options ride on the
+        executor, so scenarios compiled differently must not swap
+        executors.
         """
         if scenario.executor != "parallel":
             return None
         key = (
             scenario.workers,
-            scenario.fused,
             scenario.precision,
             scenario.bit_identical,
         )
         if key not in self._pools:
-            options = (
-                _segment_options(scenario) if scenario.fused else None
-            )
             self._pools[key] = ParallelExecutor(
                 workers=scenario.workers,
-                fused=scenario.fused,
                 precision=scenario.precision,
-                segment_options=options,
+                segment_options=_segment_options(scenario),
             ).start()
         return self._pools[key]
 

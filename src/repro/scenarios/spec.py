@@ -51,6 +51,10 @@ EXECUTORS = ("serial", "batched", "parallel")
 MODES = ("single", "double")
 PRECISIONS = ("exact", "float32")
 
+# ScenarioSpec fields that take a nested block (or its dict form); every
+# other field holds one plain value.
+_BLOCK_FIELDS = frozenset({"transpile", "adaptive", "budget", "qec", "strike"})
+
 _MEMORY_UNITS = {
     "": 1,
     "b": 1,
@@ -453,26 +457,19 @@ class ScenarioSpec:
     drift_scale: float = 0.05
     trajectories: int = 256
     transpile: Optional[TranspileSpec] = None
-    fused: bool = False
-    """Opt into segment fusion: the shared tail of every injection
-    position runs as precompiled segment matrices. Under the default
-    ``bit_identical=True`` the records stay bit-identical to the
-    unfused executors; every fused mode stays bit-identical across
-    Serial/Batched/Parallel and across tile sizes."""
     precision: str = "exact"
     """Numeric mode: ``exact`` (complex128, the bit-identity default) or
-    ``float32`` (complex64 fused fast path, requires ``fused`` and a
-    ``bit_identical=False`` waiver)."""
+    ``float32`` (complex64 tail plans, requires a ``bit_identical=False``
+    waiver)."""
     bit_identical: bool = True
     """Whether this campaign holds the repo's bit-identity guarantee.
-    ``True`` (the default) compiles fused segments *unpacked* — one
-    segment per primitive operation — so fused records stay
-    bit-identical to the unfused executors. Waiving it
-    (``bit_identical=False``) unlocks packed segment composition (and
-    is required before ``precision="float32"``): the fastest mode,
-    whose records are still bitwise-stable across executors and tile
-    sizes but reorder floating-point products against the per-gate
-    loops."""
+    ``True`` (the default) compiles tail plans *unpacked* — one segment
+    per primitive operation — so records are bit-identical to the naive
+    full re-simulation. Waiving it (``bit_identical=False``) packs
+    segment composition (and is required before ``precision="float32"``):
+    the fastest mode, whose records are still bitwise-stable across
+    executors and tile sizes but reorder floating-point products against
+    the per-gate oracle."""
     memory_budget: Optional[int] = None
     """Peak batch-memory budget in bytes (also accepts ``"512MB"``-style
     strings). Caps the batched executor's branch-tile size so wide
@@ -509,6 +506,16 @@ class ScenarioSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if spec_field.name not in _BLOCK_FIELDS and isinstance(
+                value, (list, tuple, set, dict)
+            ):
+                raise ValueError(
+                    f"scenario field {spec_field.name!r} takes one value, "
+                    f"got {type(value).__name__} {value!r}; sweep several "
+                    f"values with a SuiteSpec grid entry or expand_grid"
+                )
         if not self.algorithm:
             raise ValueError("scenario needs an algorithm name")
         if self.width < 1:
@@ -541,17 +548,11 @@ class ScenarioSpec:
                 f"unknown precision {self.precision!r} "
                 f"(choose from {PRECISIONS})"
             )
-        if self.precision != "exact":
-            if not self.fused:
-                raise ValueError(
-                    "precision='float32' runs on fused segments; "
-                    "set fused=true as well"
-                )
-            if self.bit_identical:
-                raise ValueError(
-                    "precision='float32' waives the bit-identity "
-                    "guarantee; set bit_identical=false to acknowledge"
-                )
+        if self.precision != "exact" and self.bit_identical:
+            raise ValueError(
+                "precision='float32' waives the bit-identity "
+                "guarantee; set bit_identical=false to acknowledge"
+            )
         object.__setattr__(
             self, "memory_budget", parse_memory_budget(self.memory_budget)
         )
@@ -665,19 +666,12 @@ class ScenarioSpec:
                     "strike campaigns sample fault parameters and need "
                     "an explicit seed to stay reproducible"
                 )
-        if self.mitigation:
-            if self.fused:
-                raise ValueError(
-                    "mitigation routes execution through a wrapping "
-                    "backend and cannot run on fused segments; set "
-                    "fused=false"
-                )
-            if self.backend in ("machine", "machine-emulator"):
-                raise ValueError(
-                    "mitigation needs the scenario noise model's readout "
-                    "confusion; machine backends own their readout "
-                    "physics and cannot be wrapped"
-                )
+        if self.mitigation and self.backend in ("machine", "machine-emulator"):
+            raise ValueError(
+                "mitigation needs the scenario noise model's readout "
+                "confusion; machine backends own their readout "
+                "physics and cannot be wrapped"
+            )
         # Normalize the noise profile the chosen backend actually runs
         # under, so the spec, its hash and the manifest all tell the
         # truth: machine backends always execute their calibration's
@@ -720,14 +714,12 @@ class ScenarioSpec:
         data = asdict(self)
         data.pop("label")
         # memory_budget only tiles execution (tiling cannot change
-        # records), so it always drops. ``fused``/``precision``/
-        # ``bit_identical`` CAN move records — waiving bit-identity
-        # packs segment composition, which reorders floating-point
-        # products — so they participate when set, but drop at their
-        # defaults so every spec hash computed before these fields
-        # existed stays valid and half-finished suite manifests keep
-        # resuming. A waived guarantee also drops when fusion is off
-        # entirely: packing is inert there.
+        # records), so it always drops. ``precision``/``bit_identical``
+        # CAN move records — waiving bit-identity packs segment
+        # composition, which reorders floating-point products — so they
+        # participate when set, but drop at their defaults so every spec
+        # hash computed before these fields existed stays valid and
+        # half-finished suite manifests keep resuming.
         data.pop("memory_budget")
         # ``budget`` bounds how much of a campaign runs, never what a
         # completed campaign's records are — always hash-excluded, so a
@@ -757,10 +749,8 @@ class ScenarioSpec:
             data["include_phi_endpoint"] = None
         if not self.mitigation:
             data.pop("mitigation")
-        if self.bit_identical or not self.fused:
+        if self.bit_identical:
             data.pop("bit_identical")
-        if not self.fused:
-            data.pop("fused")
         if self.precision == "exact":
             data.pop("precision")
         backend = self.backend
@@ -830,7 +820,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Build a spec from its dict form, rejecting unknown fields."""
+        """Build a spec from its dict form, rejecting unknown fields.
+
+        The retired ``fused`` key, which manifests written by earlier
+        releases store, loads and drops: every value now runs the same
+        tail path, so the spec hashes exactly like one without the key.
+        """
+        data = {key: value for key, value in data.items() if key != "fused"}
         known = {field.name for field in fields(cls)}
         unknown = set(data) - known
         if unknown:

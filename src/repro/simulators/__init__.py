@@ -13,16 +13,13 @@ from .backend import (
     Backend,
     BatchedSnapshotBackend,
     BranchBatch,
-    FusedSnapshotBackend,
     SimulationSnapshot,
     SnapshotBackend,
     supports_batched_branches,
-    supports_fused_segments,
     supports_snapshots,
 )
 from .density_matrix import DensityMatrixSimulator
 from .segments import (
-    HAVE_OPT_EINSUM,
     FusedSegment,
     SegmentCompiler,
     TailPlan,
@@ -46,16 +43,13 @@ __all__ = [
     "Backend",
     "SnapshotBackend",
     "BatchedSnapshotBackend",
-    "FusedSnapshotBackend",
     "SimulationSnapshot",
     "BranchBatch",
     "SegmentCompiler",
     "TailPlan",
     "FusedSegment",
-    "HAVE_OPT_EINSUM",
     "supports_snapshots",
     "supports_batched_branches",
-    "supports_fused_segments",
     "StatevectorSimulator",
     "DensityMatrixSimulator",
     "TrajectorySimulator",

@@ -19,16 +19,17 @@ On top of snapshots sits the *batched branch* protocol
 (:class:`BatchedSnapshotBackend`): evaluate many fault branches of one
 snapshot as a single stacked array — ``(B, 2**n)`` statevectors or
 ``(B, 2**n, 2**n)`` density matrices — applying each per-branch injector
-rotation and every shared tail gate across the whole batch in one
-contraction. The result is a :class:`BranchBatch` of clbit-basis
-probability rows ready for vectorized QVF scoring. Batched evaluation is a
-wall-clock optimisation only: every row is bit-identical to what
+rotation as one stacked contraction and the shared tail as a compiled
+:class:`~repro.simulators.segments.TailPlan` across the whole batch. The
+result is a :class:`BranchBatch` of clbit-basis probability rows ready for
+vectorized QVF scoring. Batched evaluation is a wall-clock optimisation
+only: every row is bit-identical to what
 :meth:`SnapshotBackend.run_from_snapshot` would produce for that branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Dict,
@@ -50,12 +51,10 @@ __all__ = [
     "Backend",
     "SnapshotBackend",
     "BatchedSnapshotBackend",
-    "FusedSnapshotBackend",
     "SimulationSnapshot",
     "BranchBatch",
     "supports_snapshots",
     "supports_batched_branches",
-    "supports_fused_segments",
     "uniform_head_slots",
     "validate_branch_head",
     "batched_clbit_marginals",
@@ -157,6 +156,7 @@ class BranchBatch:
 
     @property
     def size(self) -> int:
+        """Number of branches (rows) in the batch."""
         return int(self.probabilities.shape[0])
 
     def result(self, index: int) -> Result:
@@ -181,7 +181,22 @@ class BranchBatch:
 
 @runtime_checkable
 class BatchedSnapshotBackend(SnapshotBackend, Protocol):
-    """Snapshot backend that can evaluate many branches as one array."""
+    """Snapshot backend that evaluates many branches as one array, with
+    the shared tail compiled ahead of time.
+
+    :meth:`tail_compiler` hands out a
+    :class:`~repro.simulators.segments.SegmentCompiler` for a circuit;
+    executors pass the compiler's
+    :class:`~repro.simulators.segments.TailPlan` for a snapshot position
+    as the ``plan=`` keyword of :meth:`run_branches_from_snapshot` and
+    :meth:`SnapshotBackend.run_from_snapshot` (the keyword is accepted by
+    implementations, not declared on the base protocol —
+    ``runtime_checkable`` only checks method presence). The backend then
+    applies the plan's segments instead of walking the tail instruction
+    list. :meth:`branch_state_nbytes` reports the bytes one branch's
+    state occupies in a batch, which is what memory-budgeted tiling
+    divides against.
+    """
 
     def run_branches_from_snapshot(
         self,
@@ -199,27 +214,6 @@ class BatchedSnapshotBackend(SnapshotBackend, Protocol):
         :meth:`SnapshotBackend.run_from_snapshot` on ``heads[b] + tail``.
         """
         ...
-
-
-@runtime_checkable
-class FusedSnapshotBackend(BatchedSnapshotBackend, Protocol):
-    """Batched backend whose tails can run as precompiled fused segments.
-
-    A fused backend hands out a
-    :class:`~repro.simulators.segments.SegmentCompiler` for a circuit via
-    :meth:`tail_compiler`; executors then pass the compiler's
-    :class:`~repro.simulators.segments.TailPlan` for a snapshot position
-    as the ``plan=`` keyword of :meth:`SnapshotBackend.run_from_snapshot`
-    / :meth:`BatchedSnapshotBackend.run_branches_from_snapshot` (the
-    keyword is accepted by implementations, not declared on the base
-    protocols — ``runtime_checkable`` only checks method presence). With
-    a plan, the backend applies one contraction per fused segment instead
-    of walking the tail instruction list gate by gate.
-
-    :meth:`branch_state_nbytes` reports the bytes one branch's state
-    occupies in a batch, which is what memory-budgeted tiling divides
-    against.
-    """
 
     def tail_compiler(self, circuit: QuantumCircuit, **options):
         """A segment compiler for ``circuit`` matching this backend's
@@ -246,16 +240,11 @@ def supports_batched_branches(backend: object) -> bool:
     return isinstance(backend, BatchedSnapshotBackend)
 
 
-def supports_fused_segments(backend: object) -> bool:
-    """True when ``backend`` implements the fused-segment protocol."""
-    return isinstance(backend, FusedSnapshotBackend)
-
-
 def validate_branch_head(
     head: Sequence[Instruction], measured: AbstractSet[int]
 ) -> None:
     """Heads must be purely unitary and avoid already-measured qubits —
-    the same constraints the backends' serial advance loops enforce."""
+    the same constraints the backends' scalar advance loops enforce."""
     for inst in head:
         if not inst.is_unitary():
             raise ValueError(

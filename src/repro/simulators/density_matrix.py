@@ -39,31 +39,20 @@ from .backend import (
 from .noise import NoiseModel
 from .sampler import Result
 
-# The channel plan and the Reset superoperator live in the segments
-# module, which must apply exactly these operators when it folds noise
-# and resets into fused superoperator segments. Both advance loops apply
-# the Reset channel in superoperator form — the serial path via
-# reset_qubit -> apply_kraus_to_density (which converts multi-operator
-# channels to a superoperator), the batched path directly — same matrix,
-# same contraction per slice, hence bit-identical.
+# The channel plan lives in the segments module, which must apply exactly
+# these superoperators when it folds noise into compiled tail segments.
+# Resets match too: the scalar loop's reset_qubit -> apply_kraus_to_density
+# converts the two-operator channel to the same superoperator the compiler
+# emits (RESET_SUPEROP), so both paths run the same contraction.
 from .segments import (
-    RESET_SUPEROP as _RESET_SUPEROP,
     SegmentCompiler,
     TailPlan,
     apply_plan_to_density_batch,
     channel_superop_plan as _channel_superop_plan,
+    enter_plan,
 )
 
 __all__ = ["DensityMatrixSimulator"]
-
-
-def _check_plan_start(plan: TailPlan, snapshot: SimulationSnapshot) -> None:
-    """A tail plan only substitutes for the suffix it was compiled from."""
-    if plan.start != snapshot.position:
-        raise ValueError(
-            f"tail plan compiled for position {plan.start} cannot run "
-            f"from a snapshot at position {snapshot.position}"
-        )
 
 
 class DensityMatrixSimulator:
@@ -142,27 +131,23 @@ class DensityMatrixSimulator:
         With a ``plan`` (compiled for ``snapshot.position`` with this
         backend's noise model folded in), ``tail`` carries only the
         branch's private head; the shared suffix — gates, channels,
-        resets — applies as the plan's fused segments.
+        resets — applies as the plan's segments. Without one, ``tail`` is
+        the whole continuation, advanced operation by operation — the
+        scalar path :meth:`run` and the naive campaign oracle use.
         """
         measure_map = dict(snapshot.measure_map)
         measured = set(snapshot.measured)
+        if tail is None and plan is None:
+            tail = circuit.instructions[snapshot.position :]
+        state = self._advance(
+            snapshot.state, tail or (), measure_map, measured
+        )
         if plan is not None:
-            _check_plan_start(plan, snapshot)
-            state = self._advance(
-                snapshot.state, tail or (), measure_map, measured
-            )
-            batch = apply_plan_to_density_batch(
-                state.data[np.newaxis, :, :], plan, circuit.num_qubits
-            )
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-            state = DensityMatrix(batch[0])
-        else:
-            if tail is None:
-                tail = circuit.instructions[snapshot.position :]
-            state = self._advance(
-                snapshot.state, tail, measure_map, measured
+            enter_plan(plan, snapshot.position, measure_map, measured)
+            state = DensityMatrix(
+                apply_plan_to_density_batch(
+                    state.data[np.newaxis, :, :], plan, circuit.num_qubits
+                )[0]
             )
         probabilities = self._measured_distribution(
             state, circuit, measure_map
@@ -198,9 +183,10 @@ class DensityMatrixSimulator:
         bit-identical to :meth:`run_from_snapshot` with the tail
         ``heads[b] + circuit.instructions[snapshot.position:]``.
 
-        With a ``plan`` compiled for ``snapshot.position``, the shared
-        tail applies as fused superoperator/unitary segments (one
-        contraction per segment) instead of operation by operation.
+        The shared tail applies as ``plan``, the
+        :class:`~repro.simulators.segments.TailPlan` compiled for
+        ``snapshot.position``; without one, the default (unpacked) plan is
+        compiled on the spot.
         """
         heads = [tuple(head) for head in heads]
         num_qubits = circuit.num_qubits
@@ -210,17 +196,10 @@ class DensityMatrixSimulator:
             snapshot.state.data[np.newaxis, :, :], len(heads), axis=0
         )
         batch = self._apply_heads_batch(batch, heads, measured, num_qubits)
-        if plan is not None:
-            _check_plan_start(plan, snapshot)
-            batch = apply_plan_to_density_batch(batch, plan, num_qubits)
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-        else:
-            batch = self._advance_batch(
-                batch, circuit.instructions[snapshot.position :],
-                measure_map, measured, num_qubits,
-            )
+        if plan is None:
+            plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
+        enter_plan(plan, snapshot.position, measure_map, measured)
+        batch = apply_plan_to_density_batch(batch, plan, num_qubits)
         probs = self._batch_probabilities(batch)
         if probs.dtype != np.float64:
             probs = probs.astype(np.float64)
@@ -299,49 +278,6 @@ class DensityMatrixSimulator:
             batch[index] = rho
         return batch
 
-    def _advance_batch(
-        self,
-        batch: np.ndarray,
-        instructions: Iterable[Instruction],
-        measure_map: Dict[int, int],
-        measured: Set[int],
-        num_qubits: int,
-    ) -> np.ndarray:
-        """Batched :meth:`_advance`: same gate/channel sequence, with each
-        operation applied across the whole ``(B, 2**n, 2**n)`` stack."""
-        noise = self.noise_model
-        for inst in instructions:
-            if isinstance(inst.gate, Barrier):
-                continue
-            if isinstance(inst.gate, Measure):
-                measure_map[inst.clbits[0]] = inst.qubits[0]
-                measured.add(inst.qubits[0])
-                continue
-            touched = set(inst.qubits) & measured
-            if touched:
-                raise ValueError(
-                    f"gate {inst.name} on already-measured qubit(s) {touched}; "
-                    "only terminal measurements are supported"
-                )
-            if isinstance(inst.gate, Reset):
-                batch = apply_superop_to_density_batch(
-                    batch, _RESET_SUPEROP, (inst.qubits[0],), num_qubits
-                )
-                continue
-            batch = apply_unitary_to_density_batch(
-                batch, inst.gate.matrix, inst.qubits, num_qubits
-            )
-            if noise is not None:
-                channel = noise.channel_for(inst.name, inst.qubits)
-                if channel is not None:
-                    for superop, targets in _channel_superop_plan(
-                        channel, inst.qubits, inst.name
-                    ):
-                        batch = apply_superop_to_density_batch(
-                            batch, superop, targets, num_qubits
-                        )
-        return batch
-
     @staticmethod
     def _batch_probabilities(batch: np.ndarray) -> np.ndarray:
         """Diagonal distributions of a density-matrix stack, row by row
@@ -381,7 +317,7 @@ class DensityMatrixSimulator:
         return tensor.reshape(probs.shape[0], -1)
 
     # ------------------------------------------------------------------
-    # Fused-segment protocol
+    # Tail compilation (batched protocol)
     # ------------------------------------------------------------------
     def tail_compiler(
         self, circuit: QuantumCircuit, **options

@@ -1,52 +1,45 @@
-"""Fused gate-segment compilation for campaign tails.
+"""Compiled tail plans: how every executor runs a circuit suffix.
 
-A fault campaign replays the *same* circuit suffix once per fault branch:
-after prefix reuse (PR 1) and branch batching (PR 2), the remaining cost
-of a sweep is applying every shared tail gate to every branch, one gate
-at a time. This module compiles the gate run between an injection
-position and the end of the circuit into a handful of **fused segments**
-— precomposed unitaries (statevector) or superoperators (density matrix,
-noise channels folded in) — so an executor applies one contraction per
-segment instead of one per gate.
+A fault campaign replays the *same* circuit suffix once per fault branch.
+This module compiles the operations between an injection position and the
+end of the circuit into a :class:`TailPlan` — a tuple of
+:class:`FusedSegment` matrices (unitaries for statevectors, superoperators
+with the noise channels folded in for density matrices) — once per
+position, so the sweep never rebuilds a gate or channel matrix and the
+backends apply the plan's segments in order.
 
 Compilation is a pure function of ``(circuit, noise model, options)``:
 two compilers over the same inputs produce bit-identical segment
 matrices, which is what lets the serial, batched and parallel strategies
-(workers rebuild their own compiler) agree bit for bit when all of them
-fuse.
+(workers rebuild their own compiler) agree bit for bit.
 
 Bit-identity fine print
 -----------------------
-Floating-point matrix composition is not associative, so a *packed*
-fused run is not bit-identical to the unfused per-gate run — it agrees
-to ~1e-12 and is bit-identical *across* fused strategies and tile
-sizes. With ``pack=False`` — the default — the compiler emits one
-segment per primitive operation — exactly the matrices, targets and
-order the unfused advance loops use — and fused execution is then
-bit-identical to unfused execution as well; packing is only reachable
-through the same explicit waiver as the fast path
-(``ScenarioSpec.bit_identical = False``). The equivalence harness in
-``tests/faults/test_fused_equivalence.py`` locks both guarantees down.
+With ``pack=False`` — the default — the compiler emits one segment per
+primitive operation: exactly the matrices, targets and order the scalar
+advance loops (``run()``, the naive oracle) apply, so plan execution is
+bit-identical to re-simulating the whole faulty circuit. ``pack=True``
+composes runs of operations into one matrix per segment. Floating-point
+matrix composition is not associative, so packed records agree with the
+oracle to ~1e-12 only; they remain bit-identical *across* executors and
+tile sizes. Packing is reached through the explicit waiver
+``ScenarioSpec.bit_identical = False``.
 
-The opt-in ``float32`` fast path compiles segments in ``complex64`` and,
-when the optional ``opt_einsum`` package is installed, routes the
-batched contractions through it; without it the standard kernels run on
-the narrow dtype. Either way the fast path waives bit-identity and is
-only reachable through an explicit waiver
-(``ScenarioSpec.bit_identical = False``).
+The ``float32`` fast path compiles segments in ``complex64`` and runs the
+standard kernels on the narrow dtype. It also waives bit-identity and is
+only reachable through the same waiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..quantum.circuit import QuantumCircuit
 from ..quantum.gates import Barrier, Measure, Reset
 from ..quantum.linalg import (
-    _front_axes,
     apply_superop_to_density_batch,
     apply_unitary_to_density_batch,
     apply_unitary_to_statevector_batch,
@@ -54,16 +47,7 @@ from ..quantum.linalg import (
     kraus_to_superoperator,
 )
 
-try:  # pragma: no cover - exercised only where opt_einsum is installed
-    from opt_einsum import contract as _oe_contract
-
-    HAVE_OPT_EINSUM = True
-except ImportError:  # the supported baseline: plain numpy
-    _oe_contract = None
-    HAVE_OPT_EINSUM = False
-
 __all__ = [
-    "HAVE_OPT_EINSUM",
     "RESET_KRAUS",
     "RESET_SUPEROP",
     "FusedSegment",
@@ -75,17 +59,18 @@ __all__ = [
     "embed_superop",
     "apply_plan_to_statevector_batch",
     "apply_plan_to_density_batch",
+    "enter_plan",
 ]
 
-# Widest support a fused *unitary* segment may grow to: a (2**m, 2**m)
+# Widest support a packed *unitary* segment may grow to: a (2**m, 2**m)
 # matrix applied per branch stays cheap up to the ~10-qubit circuits the
 # exact backends handle.
 DEFAULT_UNITARY_QUBITS = 10
 
-# Widest support a fused *superoperator* segment may grow to. A superop
+# Widest support a packed *superoperator* segment may grow to. A superop
 # on m qubits is (4**m, 4**m): m=4 is 65536 entries (1 MB complex), m=6
 # would be 4 GB — composition cost explodes long before application
-# wins, so noisy tails fuse in support-bounded runs.
+# wins, so noisy tails pack in support-bounded runs.
 DEFAULT_SUPEROP_QUBITS = 4
 
 
@@ -96,8 +81,8 @@ def channel_superop_plan(
 
     A channel matching the gate's arity acts once on all its qubits; a
     one-qubit channel on a multi-qubit gate acts on each participating
-    qubit independently. Shared by the serial and batched advance loops
-    *and* by the segment compiler, so every execution path applies
+    qubit independently. Shared by the scalar advance loop, the branch
+    heads *and* the segment compiler, so every execution path applies
     exactly the same superoperators in the same order.
     """
     if channel.num_qubits == len(qubits):
@@ -112,8 +97,8 @@ def channel_superop_plan(
 
 
 # Reset re-prepares |0> through this fixed two-operator Kraus channel.
-# Every execution path — serial, batched, fused — applies it in
-# superoperator form: same matrix, same contraction per slice, hence
+# Every execution path — scalar advance loop and compiled plan — applies
+# it in superoperator form: same matrix, same contraction per slice, hence
 # bit-identical.
 RESET_KRAUS = (
     np.array([[1, 0], [0, 0]], dtype=complex),
@@ -228,9 +213,9 @@ class SegmentCompiler:
     gate channels and ``Reset`` into superoperator segments (the
     density-matrix backend). ``pack=False`` — the default — disables
     composition: every primitive operation becomes its own segment,
-    which keeps fused execution bit-identical to the unfused advance
-    loops (the repo's headline guarantee; the speedup comes from
-    hoisting per-gate matrix construction out of the sweep).
+    which keeps plan execution bit-identical to the scalar advance
+    loops (the repo's headline guarantee; per-gate matrix construction
+    is hoisted out of the sweep).
     ``pack=True`` additionally composes runs of compatible operations
     into one matrix per segment — the fastest mode, whose records are
     still bitwise-stable across executors and tile sizes but reorder
@@ -295,10 +280,10 @@ class SegmentCompiler:
 
     # ------------------------------------------------------------------
     def _primitive_ops(self, start: int):
-        """The tail's primitive operation list, in unfused order.
+        """The tail's primitive operation list, in instruction order.
 
         Returns ``(ops, measures)`` where each op is ``(kind, targets,
-        matrix)`` — exactly the kernel calls the unfused advance loops
+        matrix)`` — exactly the kernel calls the scalar advance loops
         would make — and ``measures`` is the classical bookkeeping.
         Raises for gates on already-measured qubits and for ``Reset``
         outside superoperator mode, with the same messages as the
@@ -457,53 +442,23 @@ def embed_if_needed(
 # ----------------------------------------------------------------------
 # Plan application
 # ----------------------------------------------------------------------
-def _fast_apply_statevector(
-    batch: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """The opt_einsum contraction of one unitary segment over a batch.
-
-    Mirrors :func:`~repro.quantum.linalg.
-    apply_unitary_to_statevector_batch` but contracts through
-    ``opt_einsum``; only reached on the float32 fast path with
-    ``opt_einsum`` installed.
-    """
-    size = batch.shape[0]
-    k = len(targets)
-    axes = tuple(a + 1 for a in _front_axes(targets, num_qubits))
-    tensor = batch.reshape([size] + [2] * num_qubits)
-    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
-    shape = tensor.shape
-    tensor = _oe_contract(
-        "ij,bjr->bir", matrix, tensor.reshape(size, 2**k, -1)
-    )
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, k + 1), axes)
-    return tensor.reshape(size, 2**num_qubits)
-
-
-def _fast_apply_superop(
-    batch: np.ndarray,
-    superop: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """The opt_einsum contraction of one superop segment over a batch."""
-    dim = 2**num_qubits
-    size = batch.shape[0]
-    k = len(targets)
-    row_axes = _front_axes(targets, num_qubits)
-    col_axes = tuple(a + num_qubits for a in row_axes)
-    axes = tuple(a + 1 for a in row_axes + col_axes)
-    tensor = batch.reshape([size] + [2] * (2 * num_qubits))
-    tensor = np.moveaxis(tensor, axes, range(1, 2 * k + 1))
-    shape = tensor.shape
-    tensor = _oe_contract(
-        "ij,bjr->bir", superop, tensor.reshape(size, 4**k, -1)
-    )
-    tensor = np.moveaxis(tensor.reshape(shape), range(1, 2 * k + 1), axes)
-    return tensor.reshape(size, dim, dim)
+def enter_plan(
+    plan: TailPlan,
+    position: int,
+    measure_map: Dict[int, int],
+    measured: Set[int],
+) -> None:
+    """Check that ``plan`` continues a snapshot at ``position`` and fold
+    the plan's terminal measurements into the branch's classical
+    bookkeeping (``measure_map``/``measured`` are mutated in place)."""
+    if plan.start != position:
+        raise ValueError(
+            f"tail plan compiled for position {plan.start} cannot run "
+            f"from a snapshot at position {position}"
+        )
+    for clbit, qubit in plan.measures:
+        measure_map[clbit] = qubit
+        measured.add(qubit)
 
 
 def apply_plan_to_statevector_batch(
@@ -511,23 +466,16 @@ def apply_plan_to_statevector_batch(
 ) -> np.ndarray:
     """Apply a tail plan across a ``(B, 2**n)`` statevector batch.
 
-    Exact (complex128) plans route every segment through the standard
-    per-slice GEMM kernel — the carrier of the batch==serial
-    bit-identity guarantee. float32 plans cast the batch down once and,
-    when ``opt_einsum`` is installed, contract through it instead.
+    Every segment goes through the standard per-slice GEMM kernel — the
+    carrier of the batch==serial bit-identity guarantee. float32 plans
+    cast the batch down once and run the same kernel on complex64.
     """
-    fast = plan.dtype == np.dtype(np.complex64)
-    if fast and batch.dtype != plan.dtype:
+    if batch.dtype != plan.dtype:
         batch = batch.astype(plan.dtype)
     for segment in plan.segments:
-        if fast and _oe_contract is not None:
-            batch = _fast_apply_statevector(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
-        else:
-            batch = apply_unitary_to_statevector_batch(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
+        batch = apply_unitary_to_statevector_batch(
+            batch, segment.matrix, segment.targets, num_qubits
+        )
     return batch
 
 
@@ -538,19 +486,14 @@ def apply_plan_to_density_batch(
 
     Unitary segments apply as ``U rho U^dagger`` with the standard
     batched kernel; superop segments as one doubled-space contraction.
-    The float32 fast path narrows the batch and, when ``opt_einsum`` is
-    installed, contracts superop segments through it.
+    float32 plans cast the batch down once and run the same kernels on
+    complex64.
     """
-    fast = plan.dtype == np.dtype(np.complex64)
-    if fast and batch.dtype != plan.dtype:
+    if batch.dtype != plan.dtype:
         batch = batch.astype(plan.dtype)
     for segment in plan.segments:
         if segment.kind == "unitary":
             batch = apply_unitary_to_density_batch(
-                batch, segment.matrix, segment.targets, num_qubits
-            )
-        elif fast and _oe_contract is not None:
-            batch = _fast_apply_superop(
                 batch, segment.matrix, segment.targets, num_qubits
             )
         else:

@@ -25,6 +25,7 @@ from .segments import (
     SegmentCompiler,
     TailPlan,
     apply_plan_to_statevector_batch,
+    enter_plan,
 )
 
 __all__ = ["StatevectorSimulator"]
@@ -129,8 +130,10 @@ class StatevectorSimulator:
 
         With a ``plan`` (a :class:`~repro.simulators.segments.TailPlan`
         compiled for ``snapshot.position``), ``tail`` carries only the
-        branch's private head; the shared circuit suffix applies as the
-        plan's fused segments instead of gate by gate.
+        branch's private head and the shared circuit suffix applies as
+        the plan's segments. Without one, ``tail`` is the whole
+        continuation, advanced gate by gate — the scalar path :meth:`run`
+        and the naive campaign oracle use.
 
         Without a ``seed`` the exact distribution is returned even when
         ``shots`` is set, leaving re-sampling to the caller (campaign code
@@ -141,27 +144,17 @@ class StatevectorSimulator:
         """
         measure_map = dict(snapshot.measure_map)
         measured = set(snapshot.measured)
+        if tail is None and plan is None:
+            tail = circuit.instructions[snapshot.position :]
+        amplitudes = self._advance(
+            snapshot.state, tail or (), measure_map, measured
+        ).data
         if plan is not None:
-            _check_plan_start(plan, snapshot)
-            state = self._advance(
-                snapshot.state, tail or (), measure_map, measured
-            )
-            batch = apply_plan_to_statevector_batch(
-                state.data[np.newaxis, :], plan, circuit.num_qubits
-            )
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-            qubit_probs = np.abs(batch[0]) ** 2
-            if qubit_probs.dtype != np.float64:
-                qubit_probs = qubit_probs.astype(np.float64)
-        else:
-            if tail is None:
-                tail = circuit.instructions[snapshot.position :]
-            state = self._advance(
-                snapshot.state, tail, measure_map, measured
-            )
-            qubit_probs = state.probabilities()
+            enter_plan(plan, snapshot.position, measure_map, measured)
+            amplitudes = apply_plan_to_statevector_batch(
+                amplitudes[np.newaxis, :], plan, circuit.num_qubits
+            )[0]
+        qubit_probs = (np.abs(amplitudes) ** 2).astype(np.float64, copy=False)
         probabilities = _marginal_clbit_distribution(
             qubit_probs, measure_map, circuit
         )
@@ -201,14 +194,15 @@ class StatevectorSimulator:
 
         The frozen prefix state is stacked ``B`` times into a ``(B, 2**n)``
         array; each branch's injector rotations apply as one stacked
-        contraction over the batch axis, and every shared tail gate applies
-        to the whole batch at once. Row ``b`` of the returned batch is
+        contraction over the batch axis, and the shared tail applies to
+        the whole batch at once. Row ``b`` of the returned batch is
         bit-identical to :meth:`run_from_snapshot` with the tail
         ``heads[b] + circuit.instructions[snapshot.position:]``.
 
-        With a ``plan`` compiled for ``snapshot.position``, the shared
-        tail applies as fused segments (one contraction per segment)
-        instead of gate by gate.
+        The shared tail applies as ``plan``, the
+        :class:`~repro.simulators.segments.TailPlan` compiled for
+        ``snapshot.position``; without one, the default (unpacked) plan is
+        compiled on the spot.
         """
         heads = [tuple(head) for head in heads]
         num_qubits = circuit.num_qubits
@@ -218,22 +212,11 @@ class StatevectorSimulator:
             snapshot.state.data[np.newaxis, :], len(heads), axis=0
         )
         batch = _apply_heads_batch(batch, heads, measured, num_qubits)
-        if plan is not None:
-            _check_plan_start(plan, snapshot)
-            batch = apply_plan_to_statevector_batch(
-                batch, plan, num_qubits
-            )
-            for clbit, qubit in plan.measures:
-                measure_map[clbit] = qubit
-                measured.add(qubit)
-        else:
-            batch = self._advance_batch(
-                batch, circuit.instructions[snapshot.position :],
-                measure_map, measured, num_qubits,
-            )
-        qubit_probs = np.abs(batch) ** 2
-        if qubit_probs.dtype != np.float64:
-            qubit_probs = qubit_probs.astype(np.float64)
+        if plan is None:
+            plan = self.tail_compiler(circuit).tail_plan(snapshot.position)
+        enter_plan(plan, snapshot.position, measure_map, measured)
+        batch = apply_plan_to_statevector_batch(batch, plan, num_qubits)
+        qubit_probs = (np.abs(batch) ** 2).astype(np.float64, copy=False)
         probabilities, present, key_width = batched_clbit_marginals(
             qubit_probs, measure_map, circuit
         )
@@ -245,38 +228,6 @@ class StatevectorSimulator:
             shots=shots,
             metadata={"backend": self.name, "ideal": True},
         )
-
-    @staticmethod
-    def _advance_batch(
-        batch: np.ndarray,
-        instructions: Iterable[Instruction],
-        measure_map: Dict[int, int],
-        measured: Set[int],
-        num_qubits: int,
-    ) -> np.ndarray:
-        """Batched :meth:`_advance`: same per-instruction handling, with
-        each gate applied across the whole ``(B, 2**n)`` stack at once."""
-        for inst in instructions:
-            if isinstance(inst.gate, Barrier):
-                continue
-            if isinstance(inst.gate, Measure):
-                measure_map[inst.clbits[0]] = inst.qubits[0]
-                measured.add(inst.qubits[0])
-                continue
-            if isinstance(inst.gate, Reset):
-                raise ValueError(
-                    "reset requires the density-matrix simulator"
-                )
-            touched = set(inst.qubits) & measured
-            if touched:
-                raise ValueError(
-                    f"gate {inst.name} on already-measured qubit(s) {touched}; "
-                    "only terminal measurements are supported"
-                )
-            batch = apply_unitary_to_statevector_batch(
-                batch, inst.gate.matrix, inst.qubits, num_qubits
-            )
-        return batch
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -316,13 +267,13 @@ class StatevectorSimulator:
         return Statevector.from_circuit(circuit)
 
     # ------------------------------------------------------------------
-    # Fused-segment protocol
+    # Tail compilation (batched protocol)
     # ------------------------------------------------------------------
     def tail_compiler(
         self, circuit: QuantumCircuit, **options
     ) -> SegmentCompiler:
         """A unitary segment compiler for ``circuit`` (pure states carry
-        no noise, so fused segments are plain unitaries). ``options``
+        no noise, so the segments are plain unitaries). ``options``
         forward to :class:`~repro.simulators.segments.SegmentCompiler`
         (``dtype``, ``pack``, support caps)."""
         return SegmentCompiler(circuit, superop=False, **options)
@@ -331,15 +282,6 @@ class StatevectorSimulator:
         """Bytes per branch in an exact batch: one complex128 amplitude
         per basis state."""
         return 16 * 2**num_qubits
-
-
-def _check_plan_start(plan: TailPlan, snapshot: SimulationSnapshot) -> None:
-    """A tail plan only substitutes for the suffix it was compiled from."""
-    if plan.start != snapshot.position:
-        raise ValueError(
-            f"tail plan compiled for position {plan.start} cannot run "
-            f"from a snapshot at position {snapshot.position}"
-        )
 
 
 def _apply_heads_batch(

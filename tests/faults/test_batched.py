@@ -197,7 +197,7 @@ class TestProtocol:
     def test_branch_batch_rows_match_serial_results(self):
         """Each BranchBatch row reproduces run_from_snapshot's dictionary —
         same keys (presence) and bit-identical values."""
-        from repro.faults.executor import _branch_head, _fault_tail
+        from repro.faults.executor import _branch_head
         from repro.faults import InjectionTask
 
         spec = qft(3)
@@ -217,9 +217,11 @@ class TestProtocol:
         )
         assert batch.size == len(tasks)
         for index, task in enumerate(tasks):
-            serial = backend.run_from_snapshot(
-                snapshot, spec.circuit, _fault_tail(spec.circuit, task)
+            # The whole faulty continuation, advanced gate by gate.
+            tail = _branch_head(task) + list(
+                spec.circuit.instructions[point.position + 1 :]
             )
+            serial = backend.run_from_snapshot(snapshot, spec.circuit, tail)
             assert batch.result(index).probabilities == serial.probabilities
 
     def test_max_branches_chunks_do_not_change_records(self):

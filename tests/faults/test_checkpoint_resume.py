@@ -298,10 +298,10 @@ def fused_tiled(tile=None):
     matching the campaigns these tests run.
     """
     if tile is None:
-        return BatchedExecutor(fused=True)
+        return BatchedExecutor()
     nbytes = StatevectorSimulator().branch_state_nbytes(3)
     return BatchedExecutor(
-        fused=True, memory_budget=TILE_WORKING_SET * tile * nbytes
+        memory_budget=TILE_WORKING_SET * tile * nbytes
     )
 
 
@@ -389,13 +389,12 @@ class TestTilingInvariance:
             grid_step_deg=90.0,
             executor="batched",
             transpile={"optimization_level": 1, "seed": 7},
-            fused=True,
         )
         blobs = []
         for budget in (1024, None):
             cache = FactoryCache()
             algorithm = make_algorithm(scenario, cache)
-            executor = BatchedExecutor(fused=True, memory_budget=budget)
+            executor = BatchedExecutor(memory_budget=budget)
             executor.prime_segment_compiler(
                 make_segment_compiler(scenario, cache)
             )

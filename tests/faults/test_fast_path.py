@@ -1,10 +1,10 @@
-"""The float32 fused fast path: golden tolerance and waiver enforcement.
+"""The float32 fast path: golden tolerance and waiver enforcement.
 
-The fast path (tentpole d) compiles segments in ``complex64`` — and
-contracts through ``opt_einsum`` where installed — in exchange for the
-bit-identity guarantee. These tests pin both sides of that trade: QVF
-values stay within an explicit tolerance of the exact path on all six
-benchmark algorithms, and every layer (spec, executor) refuses the fast
+The fast path compiles tail plans in ``complex64`` and runs the standard
+kernels on the narrow dtype, in exchange for the bit-identity guarantee.
+These tests pin both sides of that trade: QVF values stay within an
+explicit tolerance of the exact path on all six benchmark algorithms,
+executors really compile narrow plans, and the spec refuses the fast
 path until bit-identity is explicitly waived.
 """
 
@@ -53,7 +53,7 @@ class TestGoldenTolerance:
         ).run_campaign(spec, faults=FAULTS)
         fast = QuFI(
             StatevectorSimulator(),
-            executor=BatchedExecutor(fused=True, precision="float32"),
+            executor=BatchedExecutor(precision="float32"),
         ).run_campaign(spec, faults=FAULTS)
         np.testing.assert_allclose(
             fast.qvf_values(), exact.qvf_values(), atol=QVF_TOLERANCE
@@ -70,7 +70,7 @@ class TestGoldenTolerance:
         )
         fast = QuFI(
             DensityMatrixSimulator(light_noise_model(3)),
-            executor=BatchedExecutor(fused=True, precision="float32"),
+            executor=BatchedExecutor(precision="float32"),
         ).run_campaign(spec, faults=FAULTS)
         np.testing.assert_allclose(
             fast.qvf_values(), exact.qvf_values(), atol=QVF_TOLERANCE
@@ -94,19 +94,12 @@ class TestWaiverEnforcement:
     def test_spec_rejects_float32_with_bit_identity(self):
         with pytest.raises(ValueError, match="waives the bit-identity"):
             ScenarioSpec(
-                algorithm="ghz", fused=True, precision="float32"
-            )
-
-    def test_spec_rejects_float32_without_fusion(self):
-        with pytest.raises(ValueError, match="set fused=true"):
-            ScenarioSpec(
-                algorithm="ghz", precision="float32", bit_identical=False
+                algorithm="ghz", precision="float32"
             )
 
     def test_spec_accepts_waived_float32(self):
         spec = ScenarioSpec(
             algorithm="ghz",
-            fused=True,
             precision="float32",
             bit_identical=False,
         )
@@ -114,7 +107,7 @@ class TestWaiverEnforcement:
 
     def test_spec_rejects_unknown_precision(self):
         with pytest.raises(ValueError, match="unknown precision"):
-            ScenarioSpec(algorithm="ghz", fused=True, precision="float16")
+            ScenarioSpec(algorithm="ghz", precision="float16")
 
     @pytest.mark.parametrize(
         "make_executor",
@@ -124,10 +117,14 @@ class TestWaiverEnforcement:
         ],
         ids=["serial", "batched"],
     )
-    def test_executors_reject_float32_without_fusion(self, make_executor):
-        with pytest.raises(ValueError, match="requires fused=True"):
-            make_executor()
+    def test_executors_compile_float32_plans(self, make_executor):
+        """float32 executors run packed complex64 plans."""
+        compiler = make_executor()._segment_compiler(
+            StatevectorSimulator(), qft(3).circuit
+        )
+        assert compiler.dtype == np.dtype(np.complex64)
+        assert compiler.pack
 
     def test_executors_reject_unknown_precision(self):
         with pytest.raises(ValueError, match="precision must be one of"):
-            SerialExecutor(fused=True, precision="double")
+            SerialExecutor(precision="double")

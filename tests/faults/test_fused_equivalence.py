@@ -1,19 +1,18 @@
-"""The fused-segment equivalence harness.
+"""The tail-plan equivalence harness.
 
-PR 6's contract, locked down in one place: campaigns run on fused
-segments (the default, unpacked compile) are **bit-identical** to the
-unfused ``SerialExecutor`` and ``BatchedExecutor`` — on both exact
-backends, for single and double faults, exact and sampled, at any tile
-size, and through the transpiled path. Packed composition (the
-``bit_identical=False`` waiver) keeps a weaker but still exact
-guarantee: bitwise-stable across executors and tile sizes, numerically
-close to the per-gate loops.
+The single-path contract, locked down in one place: campaigns run on
+compiled tail plans (the default, unpacked compile) are
+**bit-identical** to the naive oracle ``SerialExecutor(prefix_reuse=
+False)``, which re-simulates every faulty circuit gate by gate without
+any plan — on both exact backends, for single and double faults, exact
+and sampled, at any tile size, and through the transpiled path. Packed
+composition (the ``bit_identical=False`` waiver) keeps a weaker but
+still exact guarantee: bitwise-stable across executors and tile sizes,
+numerically close to the per-gate oracle.
 
 The property-based section sweeps random circuits so the guarantee is
 established for arbitrary workloads, not just the six benchmarks.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -57,6 +56,11 @@ def table_bytes(result):
     return result.table.data.tobytes()
 
 
+def naive():
+    """The reference: full re-simulation per injection, no tail plans."""
+    return SerialExecutor(prefix_reuse=False)
+
+
 def sv():
     return StatevectorSimulator()
 
@@ -74,7 +78,7 @@ def run_single(backend, executor, spec, **kwargs):
 def tiled_executor(backend, num_qubits=3, tile=3):
     """A BatchedExecutor whose memory budget forces ``tile`` branches."""
     budget = TILE_WORKING_SET * tile * backend.branch_state_nbytes(num_qubits)
-    return BatchedExecutor(fused=True, memory_budget=budget)
+    return BatchedExecutor(memory_budget=budget)
 
 
 class TestFusedSingleFault:
@@ -87,13 +91,13 @@ class TestFusedSingleFault:
     def test_fused_matches_unfused(self, builder, make_backend):
         spec = builder(3)
         reference = table_bytes(
+            run_single(make_backend(), naive(), spec)
+        )
+        assert reference == table_bytes(
             run_single(make_backend(), SerialExecutor(), spec)
         )
         assert reference == table_bytes(
-            run_single(make_backend(), SerialExecutor(fused=True), spec)
-        )
-        assert reference == table_bytes(
-            run_single(make_backend(), BatchedExecutor(fused=True), spec)
+            run_single(make_backend(), BatchedExecutor(), spec)
         )
         assert reference == table_bytes(
             run_single(make_backend(), tiled_executor(make_backend()), spec)
@@ -102,7 +106,7 @@ class TestFusedSingleFault:
     def test_tile_size_one_still_matches(self):
         spec = qft(3)
         backend = dm()
-        reference = table_bytes(run_single(backend, BatchedExecutor(), spec))
+        reference = table_bytes(run_single(backend, naive(), spec))
         assert reference == table_bytes(
             run_single(dm(), tiled_executor(dm(), tile=1), spec)
         )
@@ -116,13 +120,13 @@ class TestFusedDoubleFault:
         spec = builder(3)
         couples = [(0, 1), (1, 2)]
         reference = table_bytes(
-            QuFI(sv(), executor=SerialExecutor()).run_double_campaign(
+            QuFI(sv(), executor=naive()).run_double_campaign(
                 spec, couples, faults=FAULTS
             )
         )
         for executor in (
-            SerialExecutor(fused=True),
-            BatchedExecutor(fused=True),
+            SerialExecutor(),
+            BatchedExecutor(),
             tiled_executor(sv()),
         ):
             assert reference == table_bytes(
@@ -135,13 +139,13 @@ class TestFusedDoubleFault:
         spec = grover(3)
         couples = [(0, 1), (1, 2)]
         reference = table_bytes(
-            QuFI(dm(), executor=SerialExecutor()).run_double_campaign(
+            QuFI(dm(), executor=naive()).run_double_campaign(
                 spec, couples, faults=FAULTS
             )
         )
         assert reference == table_bytes(
             QuFI(
-                dm(), executor=BatchedExecutor(fused=True)
+                dm(), executor=BatchedExecutor()
             ).run_double_campaign(spec, couples, faults=FAULTS)
         )
 
@@ -153,23 +157,23 @@ class TestFusedSampled:
     def test_sampled_fused_matches_unfused(self, builder):
         spec = builder(3)
         reference = table_bytes(
-            run_single(sv(), SerialExecutor(), spec, shots=128, seed=11)
+            run_single(sv(), naive(), spec, shots=128, seed=11)
         )
         assert reference == table_bytes(
             run_single(
-                sv(), BatchedExecutor(fused=True), spec, shots=128, seed=11
+                sv(), BatchedExecutor(), spec, shots=128, seed=11
             )
         )
 
 
 class TestFusedParallel:
     def test_parallel_fused_matches_unfused_serial(self):
-        executor = ParallelExecutor(workers=2, fused=True).start()
+        executor = ParallelExecutor(workers=2).start()
         try:
             for builder in ALGORITHM_BUILDERS:
                 spec = builder(3)
                 reference = table_bytes(
-                    run_single(sv(), SerialExecutor(), spec)
+                    run_single(sv(), naive(), spec)
                 )
                 assert reference == table_bytes(
                     run_single(sv(), executor, spec)
@@ -178,10 +182,10 @@ class TestFusedParallel:
             executor.shutdown()
 
     def test_parallel_fused_noisy_density_matrix(self):
-        executor = ParallelExecutor(workers=2, fused=True).start()
+        executor = ParallelExecutor(workers=2).start()
         try:
             spec = qft(3)
-            reference = table_bytes(run_single(dm(), SerialExecutor(), spec))
+            reference = table_bytes(run_single(dm(), naive(), spec))
             assert reference == table_bytes(run_single(dm(), executor, spec))
         finally:
             executor.shutdown()
@@ -198,14 +202,14 @@ class TestPackedWaiver:
         packed_serial = table_bytes(
             run_single(
                 dm(),
-                SerialExecutor(fused=True, segment_options=self.PACKED),
+                SerialExecutor(segment_options=self.PACKED),
                 spec,
             )
         )
         packed_batched = table_bytes(
             run_single(
                 dm(),
-                BatchedExecutor(fused=True, segment_options=self.PACKED),
+                BatchedExecutor(segment_options=self.PACKED),
                 spec,
             )
         )
@@ -214,7 +218,6 @@ class TestPackedWaiver:
             run_single(
                 dm(),
                 BatchedExecutor(
-                    fused=True,
                     segment_options=self.PACKED,
                     memory_budget=budget,
                 ),
@@ -225,10 +228,10 @@ class TestPackedWaiver:
 
     def test_packed_close_to_unfused(self):
         spec = qft(3)
-        exact = run_single(dm(), SerialExecutor(), spec)
+        exact = run_single(dm(), naive(), spec)
         packed = run_single(
             dm(),
-            BatchedExecutor(fused=True, segment_options=self.PACKED),
+            BatchedExecutor(segment_options=self.PACKED),
             spec,
         )
         np.testing.assert_allclose(
@@ -237,7 +240,7 @@ class TestPackedWaiver:
 
 
 class TestFusedTranspiled:
-    """The PR 5 transpiled path fuses too — same records, either way."""
+    """The transpiled path runs plans too — same records as the oracle."""
 
     def test_transpiled_fused_matches_unfused(self):
         spec = ScenarioSpec(
@@ -248,9 +251,8 @@ class TestFusedTranspiled:
             executor="batched",
             transpile={"optimization_level": 1, "seed": 7},
         )
-        fused = dataclasses.replace(spec, fused=True)
         assert table_bytes(run_scenario(spec)) == table_bytes(
-            run_scenario(fused)
+            run_scenario(spec, executor=naive())
         )
 
 
@@ -277,13 +279,13 @@ class TestRandomCircuits:
         correct = _correct_states(circuit)
         for make_backend in (sv, lambda: dm(num_qubits)):
             reference = table_bytes(
-                QuFI(make_backend(), executor=SerialExecutor()).run_campaign(
+                QuFI(make_backend(), executor=naive()).run_campaign(
                     circuit, correct_states=correct, faults=FAULTS
                 )
             )
             for executor in (
-                SerialExecutor(fused=True),
-                BatchedExecutor(fused=True),
+                SerialExecutor(),
+                BatchedExecutor(),
                 tiled_executor(make_backend(), num_qubits),
             ):
                 assert reference == table_bytes(
@@ -302,13 +304,13 @@ class TestRandomCircuits:
         correct = _correct_states(circuit)
         couples = [(0, 1), (1, 2)]
         reference = table_bytes(
-            QuFI(sv(), executor=SerialExecutor()).run_double_campaign(
+            QuFI(sv(), executor=naive()).run_double_campaign(
                 circuit, couples, correct_states=correct, faults=FAULTS
             )
         )
         assert reference == table_bytes(
             QuFI(
-                sv(), executor=BatchedExecutor(fused=True)
+                sv(), executor=BatchedExecutor()
             ).run_double_campaign(
                 circuit, couples, correct_states=correct, faults=FAULTS
             )
@@ -327,8 +329,43 @@ class TestRandomCircuits:
                 )
             )
             for executor in (
-                SerialExecutor(fused=True, segment_options=packed),
-                BatchedExecutor(fused=True, segment_options=packed),
+                SerialExecutor(segment_options=packed),
+                BatchedExecutor(segment_options=packed),
             )
         ]
         assert runs[0] == runs[1]
+
+
+class TestCompilerCache:
+    """Executors cache compilers by what they fold in, not by circuit
+    alone: a noiseless unitary plan must never serve a noisy run."""
+
+    @pytest.mark.parametrize(
+        "make_executor", [SerialExecutor, BatchedExecutor],
+        ids=["serial", "batched"],
+    )
+    def test_statevector_then_density_matrix_on_one_executor(
+        self, make_executor
+    ):
+        spec = qft(3)
+        shared = make_executor()
+        run_single(sv(), shared, spec)
+        reused = table_bytes(run_single(dm(), shared, spec))
+        assert reused == table_bytes(run_single(dm(), make_executor(), spec))
+        assert reused == table_bytes(run_single(dm(), naive(), spec))
+
+    def test_suite_priming_still_hits(self):
+        from repro.scenarios.factory import (
+            FactoryCache,
+            make_executor,
+            make_segment_compiler,
+        )
+
+        spec = ScenarioSpec(
+            algorithm="qft", width=3, noise="light", grid_step_deg=90.0
+        )
+        cache = FactoryCache()
+        primed = make_segment_compiler(spec, cache)
+        assert primed.compiled_positions == ()
+        run_scenario(spec, cache, executor=make_executor(spec, cache))
+        assert primed.compiled_positions != ()

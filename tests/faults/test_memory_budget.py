@@ -48,7 +48,7 @@ def traced_peak(executor):
 class TestMemoryBudget:
     def test_ten_qubit_density_campaign_fits_budget(self):
         peak, result = traced_peak(
-            BatchedExecutor(fused=True, memory_budget=BUDGET)
+            BatchedExecutor(memory_budget=BUDGET)
         )
         assert peak < BUDGET
         assert result.num_injections == 8
@@ -61,7 +61,7 @@ class TestMemoryBudget:
 
     def test_budgeted_records_match_unbudgeted(self):
         _, budgeted = traced_peak(
-            BatchedExecutor(fused=True, memory_budget=BUDGET)
+            BatchedExecutor(memory_budget=BUDGET)
         )
         _, free = traced_peak(BatchedExecutor())
         assert (

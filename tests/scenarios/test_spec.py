@@ -117,11 +117,11 @@ class TestScenarioSpec:
 
 
 class TestFusionFields:
-    """The PR 6 fields: fusion, precision, waiver, memory budget."""
+    """The PR 6 fields: precision, waiver, memory budget — and the
+    retired ``fused`` key that older manifests still carry."""
 
     def test_defaults(self):
         spec = ScenarioSpec(algorithm="bv")
-        assert spec.fused is False
         assert spec.precision == "exact"
         assert spec.bit_identical is True
         assert spec.memory_budget is None
@@ -133,7 +133,6 @@ class TestFusionFields:
     def test_fusion_round_trips_through_dict(self):
         spec = ScenarioSpec(
             algorithm="bv",
-            fused=True,
             precision="float32",
             bit_identical=False,
             memory_budget="1gb",
@@ -148,48 +147,100 @@ class TestFusionFields:
         for name in ("fused", "precision", "bit_identical", "memory_budget"):
             assert name not in canonical
 
-    def test_fused_changes_the_hash(self):
-        base = ScenarioSpec(algorithm="bv", width=3)
-        assert base.spec_hash() != ScenarioSpec(
-            algorithm="bv", width=3, fused=True
-        ).spec_hash()
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_retired_fused_key_loads_and_hashes_like_its_absence(
+        self, fused
+    ):
+        """Manifests store ``"fused": <bool>``; both values load and
+        hash exactly like the same dict without the key."""
+        data = ScenarioSpec(algorithm="bv", width=3).to_dict()
+        spec = ScenarioSpec.from_dict({**data, "fused": fused})
+        assert spec == ScenarioSpec.from_dict(data)
+        assert spec.spec_hash() == ScenarioSpec.from_dict(data).spec_hash()
+        waived = {**data, "bit_identical": False}
+        assert (
+            ScenarioSpec.from_dict({**waived, "fused": fused}).spec_hash()
+            == ScenarioSpec.from_dict(waived).spec_hash()
+        )
 
-    def test_waiver_changes_the_hash_only_when_fused(self):
+    def test_waiver_always_changes_the_hash(self):
+        """Waiving bit-identity packs the tail plans, which moves
+        records, so the waiver enters the hash whenever it is set."""
         base = ScenarioSpec(algorithm="bv", width=3)
-        # Packing changes records, so the waiver participates when fused...
-        assert ScenarioSpec(
-            algorithm="bv", width=3, fused=True
-        ).spec_hash() != ScenarioSpec(
-            algorithm="bv", width=3, fused=True, bit_identical=False
-        ).spec_hash()
-        # ... but is inert (and hash-neutral) without fusion.
-        assert base.spec_hash() == ScenarioSpec(
-            algorithm="bv", width=3, bit_identical=False
-        ).spec_hash()
+        waived = ScenarioSpec(algorithm="bv", width=3, bit_identical=False)
+        assert waived.canonical_dict()["bit_identical"] is False
+        assert base.spec_hash() != waived.spec_hash()
 
     def test_memory_budget_never_changes_the_hash(self):
-        base = ScenarioSpec(algorithm="bv", width=3, fused=True)
+        base = ScenarioSpec(algorithm="bv", width=3)
         assert base.spec_hash() == ScenarioSpec(
-            algorithm="bv", width=3, fused=True, memory_budget="64mb"
+            algorithm="bv", width=3, memory_budget="64mb"
         ).spec_hash()
 
-    def test_float32_requires_fusion_and_waiver(self):
-        with pytest.raises(ValueError, match="set fused=true"):
-            ScenarioSpec(
-                algorithm="bv", precision="float32", bit_identical=False
-            )
+    def test_float32_requires_the_waiver(self):
         with pytest.raises(ValueError, match="waives the bit-identity"):
-            ScenarioSpec(algorithm="bv", fused=True, precision="float32")
+            ScenarioSpec(algorithm="bv", precision="float32")
+        assert ScenarioSpec(
+            algorithm="bv", precision="float32", bit_identical=False
+        ).precision == "float32"
 
     def test_float32_changes_the_hash(self):
         assert ScenarioSpec(
-            algorithm="bv", fused=True, bit_identical=False
+            algorithm="bv", bit_identical=False
         ).spec_hash() != ScenarioSpec(
             algorithm="bv",
-            fused=True,
             precision="float32",
             bit_identical=False,
         ).spec_hash()
+
+
+class TestSingleValuedFields:
+    """Scalar fields take one value; sweeps belong to suites."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("machine", ["casablanca", "lagos"]),
+            ("width", [3, 4]),
+            ("grid_step_deg", [45.0, 90.0]),
+            ("mitigation", [True, False]),
+            ("seed", [1, 2]),
+            ("machine", {"name": "lagos"}),
+            ("width", {"min": 3}),
+        ],
+        ids=[
+            "str-list",
+            "int-list",
+            "float-list",
+            "bool-list",
+            "optional-list",
+            "str-dict",
+            "int-dict",
+        ],
+    )
+    def test_collection_valued_scalar_rejected(self, field, value):
+        data = {"algorithm": "bv", field: value}
+        with pytest.raises(ValueError, match="SuiteSpec.*expand_grid"):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(ValueError, match=repr(field)):
+            ScenarioSpec(**data)
+
+    def test_block_fields_still_take_dicts(self):
+        spec = ScenarioSpec.from_dict(
+            {"algorithm": "bv", "transpile": {"optimization_level": 1}}
+        )
+        assert spec.transpile.optimization_level == 1
+
+    def test_suite_lists_still_expand(self):
+        suite = SuiteSpec.from_dict(
+            {
+                "name": "sweep",
+                "scenarios": [
+                    {"algorithm": "bv", "width": [3, 4]}
+                ],
+            }
+        )
+        assert [s.width for s in suite] == [3, 4]
 
 
 class TestAdaptiveSpec:

@@ -1,10 +1,10 @@
-"""Unit tests for the fused gate-segment compiler and plan kernels.
+"""Unit tests for the tail-plan compiler and plan kernels.
 
-The campaign-level guarantees (fused == unfused records, tiling
+The campaign-level guarantees (plan path == naive oracle, tiling
 invariance) live in ``tests/faults/test_fused_equivalence.py``; this
 module pins the compiler machinery itself — composition correctness,
 superoperator embedding, caching, determinism, and the validation
-errors that must match the unfused advance loops word for word.
+errors that must match the scalar advance loops word for word.
 """
 
 import numpy as np
@@ -18,12 +18,11 @@ from repro.quantum.linalg import (
 )
 from repro.quantum.random import random_statevector, random_unitary
 from repro.simulators import (
+    BatchedSnapshotBackend,
     DensityMatrixSimulator,
-    FusedSnapshotBackend,
     SegmentCompiler,
     StatevectorSimulator,
     depolarizing_channel,
-    supports_fused_segments,
 )
 from repro.simulators.noise import NoiseModel
 from repro.simulators.segments import (
@@ -61,15 +60,17 @@ def _full_unitary(circuit):
 
 
 class TestProtocol:
-    def test_exact_backends_support_fused_segments(self):
-        assert supports_fused_segments(StatevectorSimulator())
-        assert supports_fused_segments(DensityMatrixSimulator())
+    def test_batched_protocol_includes_tail_compilation(self):
+        """tail_compiler/branch_state_nbytes belong to the batched
+        protocol: a backend without them is not batched."""
 
-    def test_plain_objects_do_not(self):
-        assert not supports_fused_segments(object())
+        class NoCompiler(StatevectorSimulator):
+            tail_compiler = None
 
-    def test_protocol_is_runtime_checkable(self):
-        assert isinstance(StatevectorSimulator(), FusedSnapshotBackend)
+        assert isinstance(StatevectorSimulator(), BatchedSnapshotBackend)
+        assert isinstance(DensityMatrixSimulator(), BatchedSnapshotBackend)
+        assert not isinstance(object(), BatchedSnapshotBackend)
+        assert not isinstance(NoCompiler(), BatchedSnapshotBackend)
 
     def test_branch_state_nbytes(self):
         assert StatevectorSimulator().branch_state_nbytes(3) == 16 * 8
@@ -124,7 +125,7 @@ class TestComposition:
         np.testing.assert_allclose(total, _full_unitary(circuit), atol=1e-12)
 
     def test_unpacked_application_is_bitwise_per_gate(self):
-        """pack=False plans replay exactly the unfused kernel calls."""
+        """pack=False plans replay exactly the per-gate kernel calls."""
         circuit = _bell_tail_circuit()
         compiler = SegmentCompiler(circuit, superop=False)
         plan = compiler.tail_plan(0)

@@ -23,6 +23,8 @@ GATED_PATHS = (
     os.path.join("faults", "executor.py"),
     os.path.join("faults", "layout_map.py"),
     os.path.join("faults", "physics.py"),
+    os.path.join("simulators", "segments.py"),
+    os.path.join("simulators", "backend.py"),
 )
 
 #: Pinned threshold. 100%: the gate is "no undocumented public symbol",
