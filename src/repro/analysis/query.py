@@ -15,9 +15,8 @@ the layer that reads *across* them without loading any store whole:
   two scenarios picked out of (possibly different) manifests, on lazy
   results;
 * :func:`export_records` writes the selected scenarios' records as one
-  flat analytics table — Parquet or Arrow IPC when ``pyarrow`` is
-  available, an npz bundle otherwise (the fallback is automatic and
-  explicit in the return value).
+  flat analytics table, an npz bundle (Parquet and Arrow requests fall
+  back to npz, explicitly in the return value).
 
 Everything here is also reachable as ``repro query ...`` from the CLI.
 """
@@ -33,8 +32,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults.campaign import CampaignResult, delta_heatmap
-from ..faults.records import RECORD_DTYPE, RecordTable
-from ..faults.store import DEFAULT_WINDOW_ROWS, open_store
+from ..faults.records import RECORD_DTYPE
+from ..faults.store import DEFAULT_WINDOW_ROWS
 from ..scenarios.runner import MANIFEST_NAME
 from ..scenarios.spec import ScenarioSpec
 
@@ -303,116 +302,11 @@ def comparison_table(comparison: Dict[str, Dict[int, float]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Flat-table export (Parquet / Arrow IPC, npz fallback)
+# Flat-table export (npz)
 # ----------------------------------------------------------------------
 
 #: Scenario identity columns appended to every exported record row.
 _ID_COLUMNS = ("suite", "scenario_id", "machine", "optimization", "noise")
-
-
-def _pyarrow():
-    """The pyarrow module, or ``None`` when the build lacks it."""
-    try:
-        import pyarrow  # noqa: F401 — optional dependency
-
-        return pyarrow
-    except ModuleNotFoundError:
-        return None
-
-
-def _chunk_columns(
-    chunk: RecordTable, handle: ScenarioHandle
-) -> Dict[str, np.ndarray]:
-    """One window's columns as plain arrays, plus identity columns."""
-    columns: Dict[str, np.ndarray] = {}
-    for name in RECORD_DTYPE.names:
-        if name == "gate":
-            pool = np.asarray(chunk.gate_names, dtype=np.str_)
-            columns["gate_name"] = pool[np.asarray(chunk.column("gate"))]
-        else:
-            columns[name] = np.asarray(chunk.column(name))
-    size = len(chunk)
-    for key in _ID_COLUMNS:
-        value = (
-            handle.group(key)
-            if key != "scenario_id"
-            else handle.scenario_id
-        )
-        columns[key] = np.full(size, value)
-    return columns
-
-
-def export_records(
-    handles: Sequence[ScenarioHandle],
-    path: str,
-    fmt: str = "auto",
-    window_rows: int = DEFAULT_WINDOW_ROWS,
-) -> str:
-    """Export the scenarios' records as one flat analytics table.
-
-    Columns are the record schema (``gate`` resolved to ``gate_name``)
-    plus scenario identity (suite, scenario id, machine, optimization,
-    noise), so the table is self-describing across suites. Returns the
-    format actually written:
-
-    * ``parquet`` / ``arrow`` — streamed batch-by-batch through
-      ``pyarrow`` (one window per batch; peak memory stays bounded);
-    * ``npz`` — the numpy fallback when ``pyarrow`` is missing (or
-      ``fmt="npz"``): same columns as arrays in one archive, streamed
-      column by column straight into the zip container — peak memory is
-      one window per pass, never a table, dependencies zero.
-
-    ``fmt="auto"`` picks from the extension (``.parquet``, ``.arrow``/
-    ``.feather``, anything else npz) and silently degrades to npz when
-    pyarrow is absent — the CLI surfaces the returned format.
-    """
-    if fmt == "auto":
-        ext = os.path.splitext(path)[1].lower()
-        fmt = {
-            ".parquet": "parquet",
-            ".arrow": "arrow",
-            ".feather": "arrow",
-        }.get(ext, "npz")
-    if fmt not in ("parquet", "arrow", "npz"):
-        raise ValueError(f"unknown export format {fmt!r}")
-    arrow = _pyarrow() if fmt in ("parquet", "arrow") else None
-    if fmt != "npz" and arrow is None:
-        fmt = "npz"
-
-    if fmt == "npz":
-        _export_npz(handles, path, window_rows)
-        return "npz"
-
-    batches = (
-        arrow.RecordBatch.from_pydict(
-            {
-                name: values.tolist() if values.dtype.kind == "U" else values
-                for name, values in _chunk_columns(chunk, handle).items()
-            }
-        )
-        for handle in handles
-        for chunk in handle.open(window_rows).iter_chunk_tables()
-    )
-    first = next(batches, None)
-    if first is None:
-        raise ValueError("no records to export")
-    tmp_path = f"{path}.tmp"
-    if fmt == "parquet":
-        import pyarrow.parquet as parquet
-
-        with parquet.ParquetWriter(tmp_path, first.schema) as writer:
-            writer.write_batch(first)
-            for batch in batches:
-                writer.write_batch(batch)
-    else:
-        import pyarrow.ipc as ipc
-
-        with ipc.new_file(tmp_path, first.schema) as writer:
-            writer.write_batch(first)
-            for batch in batches:
-                writer.write_batch(batch)
-    os.replace(tmp_path, path)
-    return fmt
 
 
 def _write_npz_member(
@@ -444,20 +338,34 @@ def _write_npz_member(
             )
 
 
-def _export_npz(
-    handles: Sequence[ScenarioHandle], path: str, window_rows: int
-) -> None:
-    """The bounded-memory npz fallback: one column pass at a time.
+def export_records(
+    handles: Sequence[ScenarioHandle],
+    path: str,
+    fmt: str = "auto",
+    window_rows: int = DEFAULT_WINDOW_ROWS,
+) -> str:
+    """Export the scenarios' records as one flat analytics table.
 
-    Numeric columns stream directly (the first pass doubles as the
-    gate-name width scan); ``gate_name`` resolves each window's gate ids
-    through its own pool; the identity columns are constant per scenario
-    and are synthesised without touching the stores at all. Peak memory
-    is a single window regardless of how many records the export holds.
-    The member set and dtypes match what the historical concatenate-
+    Columns are the record schema (``gate`` resolved to ``gate_name``)
+    plus scenario identity (suite, scenario id, machine, optimization,
+    noise), so the table is self-describing across suites. The table is
+    an npz archive written one column pass at a time: numeric columns
+    stream directly (the first pass doubles as the gate-name width
+    scan); ``gate_name`` resolves each window's gate ids through its
+    own pool; the identity columns are constant per scenario and are
+    synthesised without touching the stores at all. Peak memory is a
+    single window regardless of how many records the export holds, and
+    the member set and dtypes match what the historical concatenate-
     then-``savez`` writer produced, so ``np.load`` consumers see no
     difference.
+
+    ``fmt`` accepts ``auto``, ``parquet``, ``arrow`` and ``npz``; every
+    format writes npz (there is no Parquet or Arrow writer), and the
+    return value names the format actually written so the CLI can say
+    it fell back.
     """
+    if fmt not in ("auto", "parquet", "arrow", "npz"):
+        raise ValueError(f"unknown export format {fmt!r}")
     results = [(handle, handle.open(window_rows)) for handle in handles]
     rows = sum(result.num_injections for _, result in results)
     if rows == 0:
@@ -520,3 +428,4 @@ def _export_npz(
 
             _write_npz_member(archive, key, id_dtype, rows, id_chunks())
     os.replace(tmp_path, path)
+    return "npz"

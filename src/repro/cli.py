@@ -25,19 +25,18 @@ Examples::
     python -m repro query per-qubit paper.out --group-by machine
     python -m repro query delta paper.out --double bv4-double \\
         --single bv4-single --out delta.npz
-    python -m repro query export paper.out --out records.parquet
+    python -m repro query export paper.out --out records.npz
 
 ``campaign`` is a thin wrapper over the scenario layer: the flags build a
-:class:`~repro.scenarios.spec.ScenarioSpec` and the shared factory
-(:mod:`repro.scenarios.factory`) constructs the backend, executor and
-fault grid — the same construction path suites, benchmarks and examples
+:class:`~repro.scenarios.spec.ScenarioSpec` and
+:func:`~repro.scenarios.factory.run_scenario` runs it, ``--checkpoint``
+included — the same construction path suites, benchmarks and examples
 use. ``suite`` runs a whole spec file as one resumable job — ``--jobs``
 shards independent campaigns over a process pool and ``--cache-dir``
 (or ``REPRO_CACHE``) reuses completed campaigns across suites;
 ``cache`` inspects and maintains such a result cache; ``query``
 reads *across* finished manifests out-of-core (per-qubit comparisons,
-delta heatmaps, flat-table exports with an npz fallback when pyarrow
-is absent).
+delta heatmaps, flat-table exports as npz).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .analysis.query import (
     per_qubit_comparison,
 )
 from .analysis.report import campaign_report, suite_report
-from .faults import CampaignResult, CheckpointedRunner
+from .faults import CampaignResult
 from .quantum.qasm import circuit_to_qasm
 from .scenarios import (
     MACHINES,
@@ -66,21 +65,11 @@ from .scenarios import (
     SuiteSpec,
     TranspileSpec,
     load_suite_result,
-    make_algorithm,
-    make_executor,
-    make_faults,
-    make_injector,
     resolve_cache_dir,
     run_scenario,
 )
 from .scenarios.spec import BACKEND_KINDS, parse_memory_budget
-from .scenarios.factory import (
-    FactoryCache,
-    _scenario_points,
-    make_transpiled_campaign_inputs,
-    run_adaptive_scenario,
-    scenario_metadata,
-)
+from .scenarios.factory import FactoryCache
 
 __all__ = ["main", "build_parser"]
 
@@ -342,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "stream records to this binary segment checkpoint (appended "
             "per batch, compacted on completion) and resume from it if it "
-            "already exists; legacy JSON checkpoints are migrated"
+            "already exists; legacy JSON checkpoints are migrated. "
+            "Covers single-fault and adaptive campaigns (--strike-k 2+ "
+            "campaigns refuse it); budgets still apply"
         ),
     )
     campaign.add_argument("--output", required=True, help="output path")
@@ -568,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_export = query_sub.add_parser(
         "export",
-        help="export the selected scenarios' records as one flat table "
-        "(Parquet/Arrow via pyarrow, npz fallback)",
+        help="export the selected scenarios' records as one flat npz "
+        "table",
     )
     manifests(query_export)
     query_export.add_argument("--out", required=True, help="output path")
@@ -577,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["auto", "parquet", "arrow", "npz"],
         default="auto",
-        help="auto picks from the extension and falls back to npz "
-        "when pyarrow is absent",
+        help="every format writes npz; parquet/arrow requests say they "
+        "fell back",
     )
 
     return parser
@@ -666,63 +657,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be a positive integer")
     scenario = _scenario_from_args(args)
-    cache = FactoryCache()
-    if scenario.adaptive is not None:
-        # Adaptive campaigns own their checkpoint handling: every round
-        # streams through the same segment store, so --checkpoint is a
-        # parameter of the engine rather than a separate wrapper.
-        result = run_adaptive_scenario(
-            scenario, cache, checkpoint_path=args.checkpoint
-        )
-    elif args.checkpoint:
-        if scenario.strike is not None and scenario.strike.k >= 2:
-            raise SystemExit(
-                "--checkpoint does not support correlated (k>=2) strike "
-                "campaigns; run without --checkpoint, or as a suite (the "
-                "suite manifest is the resumable unit)"
-            )
-        # Checkpointed runs assemble the campaign pieces explicitly so
-        # the runner can stream segments; the layout metadata rides in
-        # the checkpoint store, keeping the .ckpt frame-convertible even
-        # when a kill makes it the only artefact.
-        spec = make_algorithm(scenario, cache)
-        qufi = make_injector(scenario, cache, executor=make_executor(scenario, cache))
-        faults = make_faults(scenario, cache)
-        extra_meta = scenario_metadata(scenario)
-        # Mirror run_scenario's physics-axis stamps so a checkpointed
-        # artefact is indistinguishable from the scenario layer's.
-        if scenario.strike is not None:
-            extra_meta["fault_source"] = "strike_sampling"
-            extra_meta["max_distance_um"] = scenario.strike.max_distance_um
-            extra_meta["strike"] = scenario.strike.to_dict()
-        if scenario.mitigation:
-            extra_meta["mitigation"] = True
-        if scenario.transpile is not None:
-            transpiled, points, transpile_meta = (
-                make_transpiled_campaign_inputs(scenario, cache)
-            )
-            target, states = transpiled.circuit, spec.correct_states
-            extra_meta.update(transpile_meta)
-        else:
-            target, states, points = spec, None, None
-            if scenario.qec is not None:
-                # QEC campaigns inject only at the encoder boundary, not
-                # after every gate — reuse the factory's point set so the
-                # checkpointed run matches run_scenario record for record.
-                points = _scenario_points(scenario, cache)
-                extra_meta["qec"] = scenario.qec.to_dict()
-        runner = CheckpointedRunner(qufi, args.checkpoint)
-        result = runner.run(
-            target,
-            correct_states=states,
-            faults=faults,
-            points=points,
-            metadata=extra_meta,
-        )
-    else:
-        # Everything else is exactly the scenario layer's single entry
-        # point — one construction path shared with suites/benchmarks.
-        result = run_scenario(scenario, cache)
+    result = run_scenario(
+        scenario, FactoryCache(), checkpoint_path=args.checkpoint
+    )
     if args.export == "csv":
         result.to_csv(args.output)
     elif args.export == "npz":
@@ -893,9 +830,9 @@ def _cmd_query_export(args: argparse.Namespace) -> int:
     if not handles:
         raise SystemExit("no completed scenarios to export")
     written = export_records(handles, args.out, fmt=args.format)
-    if args.format not in ("auto", "npz") and written == "npz":
+    if args.format in ("parquet", "arrow"):
         print(
-            f"pyarrow unavailable: fell back to npz "
+            f"no {args.format} writer: fell back to npz "
             f"({len(handles)} scenario(s)) -> {args.out}"
         )
     else:

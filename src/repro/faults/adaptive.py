@@ -66,7 +66,7 @@ from .fault_model import (
     theta_values,
 )
 from .injection_points import InjectionPoint, enumerate_injection_points
-from .injector import QuFI
+from .injector import QuFI, resolve_target
 from .records import RecordTable
 from .sampling import sample_strike_faults
 from .store import is_segment_file, read_segments
@@ -294,17 +294,6 @@ def refined_heatmap(
     return theta_axis.tolist(), phi_axis.tolist(), means
 
 
-def _resolve_target(
-    target: Union[AlgorithmSpec, QuantumCircuit],
-    correct_states: Optional[Sequence[str]],
-) -> Tuple[QuantumCircuit, Tuple[str, ...], str]:
-    if isinstance(target, AlgorithmSpec):
-        return target.circuit, tuple(target.correct_states), target.name
-    if correct_states is None:
-        raise ValueError("correct_states is required when passing a bare circuit")
-    return target, tuple(correct_states), target.name
-
-
 def _check_resume_config(
     checkpoint_path: Optional[str], config: Dict[str, object]
 ) -> None:
@@ -441,7 +430,7 @@ def run_adaptive_campaign(
     """
     if mode not in ("refine", "importance"):
         raise ValueError(f"unknown adaptive mode {mode!r}")
-    circuit, states, name = _resolve_target(target, correct_states)
+    circuit, states, name = resolve_target(target, correct_states)
     points = (
         list(points)
         if points is not None

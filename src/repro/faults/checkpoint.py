@@ -35,7 +35,7 @@ from .campaign import CampaignResult, RecordTable
 from .executor import BaseExecutor, CampaignPlan, InjectionTask
 from .fault_model import PhaseShiftFault, fault_grid
 from .injection_points import InjectionPoint, enumerate_injection_points
-from .injector import QuFI
+from .injector import QuFI, resolve_target
 from .store import (
     append_record_segment,
     compact,
@@ -123,6 +123,12 @@ class CheckpointedRunner:
         return CampaignResult.from_table_meta(meta, table)
 
     def completed_keys(self) -> Set[_Key]:
+        """``(theta, phi, position, qubit)`` keys already in the store.
+
+        Keys round the angles to 9 decimals, the same rounding
+        :meth:`run` matches pending work against; an absent or
+        metadata-less store has none.
+        """
         existing = self._load_existing()
         if existing is None:
             return set()
@@ -146,16 +152,7 @@ class CheckpointedRunner:
         campaigns pass their layout map here, so the ``.ckpt`` artefact
         itself stays frame-convertible (including after a kill, when it
         is the only artefact)."""
-        if isinstance(target, AlgorithmSpec):
-            circuit, states, name = (
-                target.circuit,
-                tuple(target.correct_states),
-                target.name,
-            )
-        else:
-            if correct_states is None:
-                raise ValueError("correct_states required with a bare circuit")
-            circuit, states, name = target, tuple(correct_states), target.name
+        circuit, states, name = resolve_target(target, correct_states)
 
         faults = list(faults) if faults is not None else fault_grid()
         points = (

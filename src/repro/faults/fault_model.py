@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..quantum.gates import FaultUGate
 
 __all__ = [
     "PhaseShiftFault",
     "fault_grid",
+    "constrained_pairs",
     "theta_values",
     "phi_values",
     "GATE_EQUIVALENT_FAULTS",
@@ -132,4 +133,26 @@ def fault_grid(
         PhaseShiftFault(theta, phi)
         for theta in theta_values(step_deg)
         for phi in phis
+    ]
+
+
+def constrained_pairs(
+    faults: Sequence[PhaseShiftFault],
+    second_faults: Optional[Sequence[PhaseShiftFault]] = None,
+) -> List[Tuple[PhaseShiftFault, PhaseShiftFault]]:
+    """The ``(first, second)`` fault pairs of a double-fault sweep.
+
+    The second qubit is farther from the strike and sees less charge
+    (Sec. III-C / IV-C), so each first fault pairs with every second
+    fault of no greater magnitude: ``theta1 <= theta0`` and ``phi1 <=
+    phi0``, with 1e-9 slack for grid round-off. ``second_faults``
+    defaults to ``faults``; pairs come out first-fault-major.
+    """
+    pool = list(second_faults) if second_faults is not None else faults
+    return [
+        (first, second)
+        for first in faults
+        for second in pool
+        if second.theta <= first.theta + 1e-9
+        and second.phi <= first.phi + 1e-9
     ]

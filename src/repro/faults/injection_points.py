@@ -10,12 +10,13 @@ the qubits it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..quantum.circuit import QuantumCircuit
 
 __all__ = [
     "InjectionPoint",
+    "cluster_sites",
     "enumerate_injection_points",
     "points_at_position",
 ]
@@ -123,3 +124,55 @@ def points_at_position(
             )
         points.append(InjectionPoint(int(position), int(qubit), gate_name))
     return points
+
+
+def cluster_sites(
+    circuit: QuantumCircuit,
+    clusters: Sequence[Sequence[int]],
+    points: Optional[Sequence[InjectionPoint]] = None,
+) -> Iterator[Tuple[int, InjectionPoint, Tuple[int, ...]]]:
+    """The sites a multi-qubit fault sweep visits, cluster by cluster.
+
+    Each cluster lists campaign-circuit qubits: the strike centre first,
+    its pinned neighbour second, farther qubits after (a double-fault
+    couple is a two-qubit cluster). A site is a centre point — one of
+    ``points`` on ``cluster[0]``, by default every gate site of the
+    centre qubit — at which the neighbour is still *live*. Once the
+    neighbour has been measured, a phase shift on it cannot influence
+    the outcome (and the splice would be invalid), so the site is
+    dropped. Benchmark circuits measure terminally, so this prunes
+    nothing on logical circuits; transpiled circuits interleave
+    measurements (single-qubit fusion defers gates past other wires'
+    measures), where a centre site can postdate the neighbour's measure.
+
+    Yields ``(cluster_index, point, outer)`` in sweep order, where
+    ``outer`` holds the slot indices (``>= 2``) of the farther cluster
+    qubits still live at the point. Campaigns build their tasks from
+    these sites and cost estimators count them, so both agree by
+    construction.
+    """
+    first_measure: Dict[int, int] = {}
+    for position, inst in enumerate(circuit):
+        if inst.name == "measure":
+            first_measure.setdefault(inst.qubits[0], position)
+
+    def live(qubit: int, position: int) -> bool:
+        measured_at = first_measure.get(qubit)
+        return measured_at is None or position < measured_at
+
+    points = (
+        list(points)
+        if points is not None
+        else enumerate_injection_points(circuit)
+    )
+    for index, cluster in enumerate(clusters):
+        centre, neighbour = cluster[0], cluster[1]
+        for point in points:
+            if point.qubit != centre or not live(neighbour, point.position):
+                continue
+            outer = tuple(
+                slot
+                for slot in range(2, len(cluster))
+                if live(cluster[slot], point.position)
+            )
+            yield index, point, outer

@@ -48,12 +48,36 @@ from .executor import (
     build_faulty_circuit,
     score_result,
 )
-from .fault_model import PhaseShiftFault, fault_grid
-from .injection_points import InjectionPoint, enumerate_injection_points
+from .fault_model import PhaseShiftFault, constrained_pairs, fault_grid
+from .injection_points import (
+    InjectionPoint,
+    cluster_sites,
+    enumerate_injection_points,
+)
 
-__all__ = ["QuFI"]
+__all__ = ["QuFI", "resolve_target"]
 
 ProgressCallback = Callable[[int, int], None]
+
+
+def resolve_target(
+    target: Union[AlgorithmSpec, QuantumCircuit],
+    correct_states: Optional[Sequence[str]],
+) -> Tuple[QuantumCircuit, Tuple[str, ...], str]:
+    """A campaign target as ``(circuit, correct_states, name)``.
+
+    Benchmark specs carry their own ground truth; a bare circuit needs
+    ``correct_states`` passed alongside it. Every campaign entry point
+    (sweeps, checkpointed and adaptive runs, the extension campaigns)
+    resolves its target here.
+    """
+    if isinstance(target, AlgorithmSpec):
+        return target.circuit, tuple(target.correct_states), target.name
+    if correct_states is None:
+        raise ValueError(
+            "correct_states is required when passing a bare circuit"
+        )
+    return target, tuple(correct_states), target.name
 
 
 class QuFI:
@@ -150,19 +174,6 @@ class QuFI:
     # ------------------------------------------------------------------
     # Campaigns
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve(
-        target: Union[AlgorithmSpec, QuantumCircuit],
-        correct_states: Optional[Sequence[str]],
-    ) -> Tuple[QuantumCircuit, Tuple[str, ...], str]:
-        if isinstance(target, AlgorithmSpec):
-            return target.circuit, tuple(target.correct_states), target.name
-        if correct_states is None:
-            raise ValueError(
-                "correct_states is required when passing a bare circuit"
-            )
-        return target, tuple(correct_states), target.name
-
     def _execute_plan(
         self,
         executor: BaseExecutor,
@@ -204,7 +215,7 @@ class QuFI:
         (gate, qubit) site of the circuit, executed by the injector's
         configured strategy (``executor`` overrides it per campaign).
         """
-        circuit, states, name = self._resolve(target, correct_states)
+        circuit, states, name = resolve_target(target, correct_states)
         executor = executor if executor is not None else self.executor
         faults = list(faults) if faults is not None else fault_grid()
         points = (
@@ -259,89 +270,27 @@ class QuFI:
         second on ``b``, constrained to lower magnitude: ``theta1 <=
         theta0`` and ``phi1 <= phi0`` — the farther qubit sees less charge
         (Sec. III-C / IV-C). ``second_faults`` defaults to the same grid as
-        ``faults``, filtered by the constraint per first fault.
+        ``faults``, filtered by the constraint per first fault
+        (:func:`~repro.faults.fault_model.constrained_pairs`).
 
-        The second fault only targets qubits still *live* at the
-        injection position: once ``b`` has been measured, a phase shift
-        on it cannot influence the outcome (and the splice would be
-        invalid). Benchmark circuits measure terminally, so this changes
-        nothing for logical-circuit campaigns — but transpiled circuits
-        interleave measurements (single-qubit fusion defers gates past
-        other wires' measures), where the first-fault site can postdate
-        the neighbour's measurement.
+        Each couple is a two-qubit strike cluster whose patterns are the
+        constrained pairs, so the sweep is exactly
+        :meth:`run_correlated_campaign`'s: sites come from
+        :func:`~repro.faults.injection_points.cluster_sites`, which drops
+        every site whose neighbour ``b`` is already measured out.
         """
-        circuit, states, name = self._resolve(target, correct_states)
-        executor = executor if executor is not None else self.executor
         if not couples:
             raise ValueError("at least one neighbour couple is required")
         faults = list(faults) if faults is not None else fault_grid()
-        second_pool = (
-            list(second_faults) if second_faults is not None else faults
-        )
-        fault_free = self.fault_free_qvf(circuit, states)
-
-        combos: List[Tuple[PhaseShiftFault, PhaseShiftFault]] = []
-        for first in faults:
-            for second in second_pool:
-                if (
-                    second.theta <= first.theta + 1e-9
-                    and second.phi <= first.phi + 1e-9
-                ):
-                    combos.append((first, second))
-
-        first_measure: Dict[int, int] = {}
-        for position, inst in enumerate(circuit):
-            if inst.name == "measure":
-                first_measure.setdefault(inst.qubits[0], position)
-
-        tasks: List[InjectionTask] = []
-        for qubit_a, qubit_b in couples:
-            base_points = (
-                list(points)
-                if points is not None
-                else enumerate_injection_points(circuit, qubits=[qubit_a])
-            )
-            measured_at = first_measure.get(qubit_b)
-            for point in base_points:
-                if point.qubit != qubit_a:
-                    continue
-                if measured_at is not None and point.position >= measured_at:
-                    # The neighbour is already measured out here: no
-                    # quantum state left for the second fault to corrupt.
-                    continue
-                for first, second in combos:
-                    tasks.append(
-                        InjectionTask(
-                            index=len(tasks),
-                            point=point,
-                            fault=first,
-                            second_fault=second,
-                            second_qubit=qubit_b,
-                        )
-                    )
-
-        plan = CampaignPlan(
-            circuit=circuit,
-            correct_states=states,
-            tasks=tuple(tasks),
-            shots=self.shots,
-            seed=self.seed,
-        )
-        records = self._execute_plan(executor, plan, progress)
-
-        return CampaignResult(
-            circuit_name=name,
-            correct_states=states,
-            records=records,
-            fault_free_qvf=fault_free,
-            backend_name=getattr(self.backend, "name", "backend"),
-            metadata={
-                "mode": "double",
-                "couples": list(couples),
-                "num_faults": len(faults),
-                "shots": self.shots,
-                "executor": executor.name,
-            },
+        pairs = constrained_pairs(faults, second_faults)
+        return self._run_cluster_sweep(
+            target,
+            correct_states,
+            [((a, b), pairs) for a, b in couples],
+            points,
+            progress,
+            executor,
+            {"couples": list(couples), "num_faults": len(faults)},
         )
 
     def run_correlated_campaign(
@@ -371,14 +320,12 @@ class QuFI:
         shape the physics of every execution but are not recorded as
         columns.
 
-        Point enumeration and measured-out pruning mirror
-        :meth:`run_double_campaign`: points sweep the strike centre's
-        gates, a measured-out neighbour drops the site entirely, and
-        measured-out outer slots are dropped per point (no quantum state
-        left to corrupt).
+        Sites come from
+        :func:`~repro.faults.injection_points.cluster_sites`: points
+        sweep the strike centre's gates, a measured-out neighbour drops
+        the site entirely, and measured-out outer slots are dropped per
+        point (no quantum state left to corrupt).
         """
-        circuit, states, name = self._resolve(target, correct_states)
-        executor = executor if executor is not None else self.executor
         strikes = [(tuple(cluster), list(patterns)) for cluster, patterns in strikes]
         if not strikes:
             raise ValueError("at least one strike cluster is required")
@@ -394,49 +341,60 @@ class QuFI:
                         "each strike pattern must carry exactly one fault "
                         "per cluster slot"
                     )
+        return self._run_cluster_sweep(
+            target,
+            correct_states,
+            strikes,
+            points,
+            progress,
+            executor,
+            {
+                "couples": [(cluster[0], cluster[1]) for cluster, _ in strikes],
+                "num_faults": len(strikes[0][1]),
+                "cluster_size": max(len(cluster) for cluster, _ in strikes),
+            },
+        )
+
+    def _run_cluster_sweep(
+        self,
+        target: Union[AlgorithmSpec, QuantumCircuit],
+        correct_states: Optional[Sequence[str]],
+        strikes: Sequence[
+            Tuple[Sequence[int], Sequence[Tuple[PhaseShiftFault, ...]]]
+        ],
+        points: Optional[Sequence[InjectionPoint]],
+        progress: Optional[ProgressCallback],
+        executor: Optional[BaseExecutor],
+        metadata: Dict[str, object],
+    ) -> CampaignResult:
+        """One task per (cluster, live site, pattern), run as one plan.
+
+        The shared body of the double-fault and correlated sweeps;
+        ``metadata`` supplies their mode-specific keys, which land
+        between ``mode`` and ``shots``.
+        """
+        circuit, states, name = resolve_target(target, correct_states)
+        executor = executor if executor is not None else self.executor
         fault_free = self.fault_free_qvf(circuit, states)
-
-        first_measure: Dict[int, int] = {}
-        for position, inst in enumerate(circuit):
-            if inst.name == "measure":
-                first_measure.setdefault(inst.qubits[0], position)
-
-        def live(qubit: int, position: int) -> bool:
-            measured_at = first_measure.get(qubit)
-            return measured_at is None or position < measured_at
-
         tasks: List[InjectionTask] = []
-        couples: List[Tuple[int, int]] = []
-        for cluster, patterns in strikes:
-            qubit_a, qubit_b = cluster[0], cluster[1]
-            couples.append((qubit_a, qubit_b))
-            base_points = (
-                list(points)
-                if points is not None
-                else enumerate_injection_points(circuit, qubits=[qubit_a])
-            )
-            for point in base_points:
-                if point.qubit != qubit_a:
-                    continue
-                if not live(qubit_b, point.position):
-                    continue
-                for pattern in patterns:
-                    extras = tuple(
-                        (qubit, fault)
-                        for qubit, fault in zip(cluster[2:], pattern[2:])
-                        if live(qubit, point.position)
+        sites = cluster_sites(
+            circuit, [cluster for cluster, _ in strikes], points
+        )
+        for index, point, outer in sites:
+            cluster, patterns = strikes[index]
+            for pattern in patterns:
+                tasks.append(
+                    InjectionTask(
+                        index=len(tasks),
+                        point=point,
+                        fault=pattern[0],
+                        second_fault=pattern[1],
+                        second_qubit=cluster[1],
+                        extra_faults=tuple(
+                            (cluster[slot], pattern[slot]) for slot in outer
+                        ),
                     )
-                    tasks.append(
-                        InjectionTask(
-                            index=len(tasks),
-                            point=point,
-                            fault=pattern[0],
-                            second_fault=pattern[1],
-                            second_qubit=qubit_b,
-                            extra_faults=extras,
-                        )
-                    )
-
+                )
         plan = CampaignPlan(
             circuit=circuit,
             correct_states=states,
@@ -453,9 +411,7 @@ class QuFI:
             backend_name=getattr(self.backend, "name", "backend"),
             metadata={
                 "mode": "double",
-                "couples": couples,
-                "num_faults": len(strikes[0][1]),
-                "cluster_size": max(len(cluster) for cluster, _ in strikes),
+                **metadata,
                 "shots": self.shots,
                 "executor": executor.name,
             },

@@ -20,7 +20,7 @@ draws.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..algorithms import ALGORITHMS
 from ..algorithms.spec import AlgorithmSpec
 from ..faults.adaptive import run_adaptive_campaign
 from ..faults.campaign import CampaignResult
+from ..faults.checkpoint import CheckpointedRunner
 from ..faults.double import adjacency_clusters, find_neighbor_couples
 from ..faults.executor import (
     BaseExecutor,
@@ -35,8 +36,13 @@ from ..faults.executor import (
     ParallelExecutor,
     SerialExecutor,
 )
-from ..faults.fault_model import PhaseShiftFault, fault_grid
+from ..faults.fault_model import (
+    PhaseShiftFault,
+    constrained_pairs,
+    fault_grid,
+)
 from ..faults.injection_points import (
+    cluster_sites,
     enumerate_injection_points,
     points_at_position,
 )
@@ -387,9 +393,9 @@ def make_transpiled(
 def scenario_metadata(spec: ScenarioSpec) -> Dict[str, object]:
     """The scenario-identity metadata stamped on every campaign result.
 
-    One definition shared by :func:`run_scenario` and the CLI's
-    checkpointed path, so artefacts produced either way carry the same
-    keys (suite consumers match on ``spec_hash``).
+    Stamped last by every :func:`run_scenario` path — uniform sweep,
+    checkpointed or adaptive — so artefacts carry the same keys however
+    they were produced (suite consumers match on ``spec_hash``).
     """
     return {
         "scenario_id": spec.scenario_id,
@@ -406,8 +412,8 @@ def transpile_metadata(
     Layout map plus the transpile block's basis and seed — everything a
     consumer needs to translate stored records between the wire,
     physical and logical frames (``CampaignResult.layout_map``) and to
-    re-derive the transpilation. The single definition shared by
-    :func:`run_scenario` and the CLI, so campaign artefacts and
+    re-derive the transpilation. The single definition behind every
+    transpiled :func:`run_scenario` path, so campaign artefacts and
     checkpoint stores record the same schema.
     """
     block = spec.transpile
@@ -428,9 +434,10 @@ def make_transpiled_campaign_inputs(
     Returns ``(transpiled, points, extra_metadata)``: the
     :class:`~repro.faults.layout_map.TranspiledCircuit`, the
     frame-stamped injection points over it, and the ``{"transpile":
-    ...}`` metadata block. The single assembly shared by
-    :func:`run_scenario` and the CLI's checkpointed path, so both
-    produce identical points and artefact metadata.
+    ...}`` metadata block. The single assembly behind every transpiled
+    :func:`run_scenario` path (uniform, checkpointed, multi-fault and
+    adaptive), so all of them sweep identical points and record
+    identical artefact metadata.
     """
     transpiled = make_transpiled(spec, cache)
     points = enumerate_injection_points(
@@ -797,82 +804,52 @@ def _scenario_points(
     return enumerate_injection_points(make_algorithm(spec, cache).circuit)
 
 
-def _double_injection_count(
-    spec: ScenarioSpec, cache: Optional[FactoryCache]
-) -> int:
-    """Exact task count of the spec's double-fault sweep.
+def _campaign_inputs(spec: ScenarioSpec, cache: Optional[FactoryCache]):
+    """``(target, correct_states, points, transpile_metadata)`` for ``spec``.
 
-    Mirrors :meth:`QuFI.run_double_campaign`'s enumeration — constrained
-    fault combos, per-couple point filtering, measured-out neighbour
-    pruning — without building a single task object.
+    The one assembly every :func:`run_scenario` path sweeps: logical
+    scenarios pass their :class:`~repro.algorithms.spec.AlgorithmSpec`
+    (ground truth included, points ``None`` — every gate site — except
+    for QEC's boundary points); transpiled scenarios pass the
+    hardware-native circuit, the benchmark's correct states, the
+    frame-stamped points and the ``{"transpile": ...}`` block.
     """
-    faults = make_faults(spec, cache)
-    combos = sum(
-        1
-        for first in faults
-        for second in faults
-        if second.theta <= first.theta + 1e-9
-        and second.phi <= first.phi + 1e-9
-    )
-    circuit = _scenario_circuit(spec, cache)
-    points = (
-        _scenario_points(spec, cache) if spec.transpile is not None else None
-    )
-    first_measure: Dict[int, int] = {}
-    for position, inst in enumerate(circuit):
-        if inst.name == "measure":
-            first_measure.setdefault(inst.qubits[0], position)
-    sites = 0
-    for qubit_a, qubit_b in make_couples(spec, cache):
-        base_points = (
-            points
-            if points is not None
-            else enumerate_injection_points(circuit, qubits=[qubit_a])
-        )
-        measured_at = first_measure.get(qubit_b)
-        for point in base_points:
-            if point.qubit != qubit_a:
-                continue
-            if measured_at is not None and point.position >= measured_at:
-                continue
-            sites += 1
-    return sites * combos
+    algorithm = make_algorithm(spec, cache)
+    if spec.transpile is None:
+        points = None if spec.qec is None else _scenario_points(spec, cache)
+        return algorithm, None, points, {}
+    transpiled, points, extra = make_transpiled_campaign_inputs(spec, cache)
+    return transpiled.circuit, algorithm.correct_states, points, extra
 
 
-def _correlated_strike_injection_count(
-    spec: ScenarioSpec, cache: Optional[FactoryCache]
-) -> int:
-    """Exact task count of a correlated (k >= 2) strike sweep.
+def _scenario_stamps(
+    spec: ScenarioSpec, transpile_meta: Dict[str, object]
+) -> Dict[str, object]:
+    """The metadata a uniform or checkpointed sweep of ``spec`` carries.
 
-    Mirrors :meth:`QuFI.run_correlated_campaign`'s enumeration — one
-    task per (cluster, live centre point, pattern), with the
-    measured-out-neighbour pruning of the double-fault path — without
-    building a task object.
+    In stamping order: the transpile block, the strike source markers
+    (the stamps :func:`repro.faults.sampling.run_strike_campaign`
+    applies, plus the block), the qec block, the mitigation flag, and
+    the scenario identity last.
     """
-    circuit = _scenario_circuit(spec, cache)
-    points = (
-        _scenario_points(spec, cache) if spec.transpile is not None else None
+    stamps = dict(transpile_meta)
+    if spec.strike is not None:
+        stamps["fault_source"] = "strike_sampling"
+        stamps["max_distance_um"] = spec.strike.max_distance_um
+        stamps["strike"] = spec.strike.to_dict()
+    if spec.qec is not None:
+        stamps["qec"] = spec.qec.to_dict()
+    if spec.mitigation:
+        stamps["mitigation"] = True
+    stamps.update(scenario_metadata(spec))
+    return stamps
+
+
+def _is_multi_fault(spec: ScenarioSpec) -> bool:
+    """Whether ``spec`` sweeps clusters (double mode or k >= 2 strikes)."""
+    return spec.mode == "double" or (
+        spec.strike is not None and spec.strike.k >= 2
     )
-    first_measure: Dict[int, int] = {}
-    for position, inst in enumerate(circuit):
-        if inst.name == "measure":
-            first_measure.setdefault(inst.qubits[0], position)
-    sites = 0
-    for qubits, _ in _strike_clusters(spec, cache):
-        qubit_a, qubit_b = qubits[0], qubits[1]
-        base_points = (
-            points
-            if points is not None
-            else enumerate_injection_points(circuit, qubits=[qubit_a])
-        )
-        measured_at = first_measure.get(qubit_b)
-        for point in base_points:
-            if point.qubit != qubit_a:
-                continue
-            if measured_at is not None and point.position >= measured_at:
-                continue
-            sites += 1
-    return sites * spec.strike.count
 
 
 def estimate_scenario_injections(
@@ -880,15 +857,18 @@ def estimate_scenario_injections(
 ) -> int:
     """How many injections running ``spec`` costs, before running it.
 
-    Exact for uniform sweeps (single: ``faults x points``; double: the
-    real constrained-combo enumeration). Adaptive scenarios report their
+    Exact for uniform sweeps (single: ``faults x points``; double and
+    correlated strikes: live sites x patterns, counted by the
+    :func:`~repro.faults.injection_points.cluster_sites` enumerator the
+    injector builds its tasks from). Adaptive scenarios report their
     *worst case* — the full grid for refinement (refined lines are
     full-grid lines, so the grid is the ceiling), ``samples_per_round x
     max_rounds x points`` for importance sampling — further clamped by
     the spec's own ``budget.max_injections`` when set. The suite
     runner's pre-run cost gate sums these.
     """
-    points = len(_scenario_points(spec, cache))
+    site_points = _scenario_points(spec, cache)
+    points = len(site_points)
     if spec.adaptive is not None:
         if spec.adaptive.mode == "importance":
             worst = spec.adaptive.samples_per_round * spec.adaptive.max_rounds
@@ -898,11 +878,19 @@ def estimate_scenario_injections(
         if spec.budget is not None and spec.budget.max_injections is not None:
             worst = min(worst, spec.budget.max_injections)
         return worst
-    if spec.strike is not None and spec.strike.k >= 2:
-        return _correlated_strike_injection_count(spec, cache)
+    if not _is_multi_fault(spec):
+        return len(make_faults(spec, cache)) * points
     if spec.mode == "double":
-        return _double_injection_count(spec, cache)
-    return len(make_faults(spec, cache)) * points
+        clusters = make_couples(spec, cache)
+        patterns = len(constrained_pairs(make_faults(spec, cache)))
+    else:
+        clusters = [qubits for qubits, _ in _strike_clusters(spec, cache)]
+        patterns = spec.strike.count
+    # Filtering every gate site by centre qubit yields exactly the
+    # per-centre enumeration the injector runs on logical circuits.
+    circuit = _scenario_circuit(spec, cache)
+    sites = cluster_sites(circuit, clusters, site_points)
+    return sum(1 for _ in sites) * patterns
 
 
 def run_adaptive_scenario(
@@ -914,9 +902,10 @@ def run_adaptive_scenario(
 ) -> CampaignResult:
     """Run ``spec``'s adaptive campaign (the ``spec.adaptive`` path).
 
-    The adaptive analogue of :func:`run_scenario`'s body, shared with
-    the CLI's checkpointed path: maps the spec's ``adaptive`` and
-    ``budget`` blocks onto :func:`repro.faults.adaptive.run_adaptive_campaign`,
+    The adaptive branch of :func:`run_scenario`, which owns the budget
+    gate and passes its ``checkpoint_path`` through: maps the spec's
+    ``adaptive`` and ``budget`` blocks onto
+    :func:`repro.faults.adaptive.run_adaptive_campaign`,
     sweeps the transpiled circuit (with frame-stamped points and the
     layout map in the persisted metadata) when the spec has a
     ``transpile`` block, and stamps the scenario identity on the result.
@@ -925,10 +914,15 @@ def run_adaptive_scenario(
     if block is None:
         raise ValueError(f"scenario {spec.scenario_id!r} has no adaptive block")
     cache = cache if cache is not None else FactoryCache()
-    algorithm = make_algorithm(spec, cache)
+    target, states, points, extra_meta = _campaign_inputs(spec, cache)
     qufi = make_injector(spec, cache, executor)
     budget = spec.budget
-    kwargs = dict(
+    result = run_adaptive_campaign(
+        qufi,
+        target,
+        correct_states=states,
+        points=points,
+        metadata=extra_meta,
         grid_step_deg=spec.grid_step_deg,
         phi_max_deg=spec.phi_max_deg,
         include_phi_endpoint=spec.include_phi_endpoint,
@@ -943,20 +937,6 @@ def run_adaptive_scenario(
         checkpoint_path=checkpoint_path,
         save_every=save_every,
     )
-    if spec.transpile is None:
-        result = run_adaptive_campaign(qufi, algorithm, **kwargs)
-    else:
-        transpiled, points, extra_meta = make_transpiled_campaign_inputs(
-            spec, cache
-        )
-        result = run_adaptive_campaign(
-            qufi,
-            transpiled.circuit,
-            correct_states=algorithm.correct_states,
-            points=points,
-            metadata=extra_meta,
-            **kwargs,
-        )
     result.metadata.update(scenario_metadata(spec))
     return result
 
@@ -966,6 +946,7 @@ def run_scenario(
     cache: Optional[FactoryCache] = None,
     executor: Optional[BaseExecutor] = None,
     progress=None,
+    checkpoint_path: Optional[str] = None,
 ) -> CampaignResult:
     """Spec in, campaign result out — the single-scenario entry point.
 
@@ -975,16 +956,27 @@ def run_scenario(
     the spec's strategy with an existing instance; the suite runner uses
     this to route all parallel scenarios through one long-lived pool.
 
+    A ``budget.max_injections`` is a hard gate checked before anything
+    runs, on every path: an over-budget uniform sweep raises, since
+    truncating a grid mid-sweep would silently change its records
+    (adaptive estimates are clamped to the budget, so adaptive specs
+    always pass and stop at a round boundary instead).
+    ``budget.max_seconds`` is enforced by the suite runner's pre-run
+    estimator and by the adaptive round loop, not here — a uniform
+    sweep's wall clock is not checkable before it runs.
+
     Specs with an ``adaptive`` block dispatch to
     :func:`run_adaptive_scenario` (coarse-to-fine refinement or
-    importance sampling instead of the uniform sweep; ``progress`` is
-    not threaded through the round loop). A ``budget.max_injections``
-    on a *non*-adaptive spec is a hard gate: an over-budget uniform
-    sweep raises before running anything, since truncating a grid
-    mid-sweep would silently change its records. ``budget.max_seconds``
-    is enforced by the suite runner's pre-run estimator and by the
-    adaptive round loop, not here — a uniform sweep's wall clock is not
-    checkable before it runs.
+    importance sampling instead of the uniform sweep).
+
+    ``checkpoint_path`` makes the campaign resumable: single-fault
+    sweeps (plain, qec, k=1 strike, transpiled, mitigated) stream
+    through :class:`~repro.faults.checkpoint.CheckpointedRunner`, and
+    adaptive specs stream every round into the path. Double-fault and
+    correlated (k>=2) strike sweeps refuse it — the runner's resume key
+    ``(theta, phi, position, qubit)`` cannot tell their tasks apart; a
+    suite manifest is their resumable unit. ``progress`` is not threaded
+    through checkpointed or adaptive runs.
 
     Scenarios with a ``transpile`` block sweep the *hardware-native*
     circuit instead of the logical one: injection points enumerate the
@@ -1009,8 +1001,6 @@ def run_scenario(
     # transpiled artefact is consumed by the backend's noise model, the
     # injection points and the couples alike).
     cache = cache if cache is not None else FactoryCache()
-    if spec.adaptive is not None:
-        return run_adaptive_scenario(spec, cache, executor)
     if spec.budget is not None and spec.budget.max_injections is not None:
         cost = estimate_scenario_injections(spec, cache)
         if cost > spec.budget.max_injections:
@@ -1021,81 +1011,60 @@ def run_scenario(
                 f"records — coarsen the grid, raise the budget, or add "
                 f"an adaptive block"
             )
-    algorithm = make_algorithm(spec, cache)
+    if spec.adaptive is not None:
+        return run_adaptive_scenario(
+            spec, cache, executor, checkpoint_path=checkpoint_path
+        )
+    if checkpoint_path is not None and _is_multi_fault(spec):
+        raise ValueError(
+            f"scenario {spec.scenario_id!r}: double-fault and correlated "
+            f"(k>=2) strike campaigns cannot be checkpointed — the "
+            f"checkpoint resume key (theta, phi, position, qubit) cannot "
+            f"tell their tasks apart; run without a checkpoint, or as a "
+            f"suite (the suite manifest is the resumable unit)"
+        )
+    target, states, points, transpile_meta = _campaign_inputs(spec, cache)
+    stamps = _scenario_stamps(spec, transpile_meta)
     qufi = make_injector(spec, cache, executor)
+    if checkpoint_path is not None:
+        # The stamps ride in the checkpoint store's metadata segment,
+        # keeping the store frame-convertible even when a kill makes it
+        # the only artefact.
+        return CheckpointedRunner(qufi, checkpoint_path).run(
+            target,
+            correct_states=states,
+            faults=make_faults(spec, cache),
+            points=points,
+            metadata=stamps,
+        )
     if spec.strike is not None and spec.strike.k >= 2:
         strikes = [
             (qubits, _strike_patterns(spec, hops, cache))
             for qubits, hops in _strike_clusters(spec, cache)
         ]
-        if spec.transpile is None:
-            result = qufi.run_correlated_campaign(
-                algorithm, strikes, progress=progress
-            )
-        else:
-            transpiled, points, extra_meta = make_transpiled_campaign_inputs(
-                spec, cache
-            )
-            result = qufi.run_correlated_campaign(
-                transpiled.circuit,
-                strikes,
-                correct_states=algorithm.correct_states,
-                points=points,
-                progress=progress,
-            )
-            result.metadata.update(extra_meta)
-    elif spec.transpile is None:
-        faults = make_faults(spec, cache)
-        if spec.mode == "double":
-            result = qufi.run_double_campaign(
-                algorithm,
-                couples=make_couples(spec, cache),
-                faults=faults,
-                progress=progress,
-            )
-        else:
-            result = qufi.run_campaign(
-                algorithm,
-                faults=faults,
-                points=(
-                    _scenario_points(spec, cache)
-                    if spec.qec is not None
-                    else None
-                ),
-                progress=progress,
-            )
-    else:
-        faults = make_faults(spec, cache)
-        transpiled, points, extra_meta = make_transpiled_campaign_inputs(
-            spec, cache
+        result = qufi.run_correlated_campaign(
+            target,
+            strikes,
+            correct_states=states,
+            points=points,
+            progress=progress,
         )
-        if spec.mode == "double":
-            result = qufi.run_double_campaign(
-                transpiled.circuit,
-                couples=make_couples(spec, cache),
-                correct_states=algorithm.correct_states,
-                faults=faults,
-                points=points,
-                progress=progress,
-            )
-        else:
-            result = qufi.run_campaign(
-                transpiled.circuit,
-                correct_states=algorithm.correct_states,
-                faults=faults,
-                points=points,
-                progress=progress,
-            )
-        result.metadata.update(extra_meta)
-    if spec.strike is not None:
-        # The same stamps run_strike_campaign applies, plus the block —
-        # suite artefacts announce their fault source either way.
-        result.metadata["fault_source"] = "strike_sampling"
-        result.metadata["max_distance_um"] = spec.strike.max_distance_um
-        result.metadata["strike"] = spec.strike.to_dict()
-    if spec.qec is not None:
-        result.metadata["qec"] = spec.qec.to_dict()
-    if spec.mitigation:
-        result.metadata["mitigation"] = True
-    result.metadata.update(scenario_metadata(spec))
+    elif spec.mode == "double":
+        result = qufi.run_double_campaign(
+            target,
+            couples=make_couples(spec, cache),
+            correct_states=states,
+            faults=make_faults(spec, cache),
+            points=points,
+            progress=progress,
+        )
+    else:
+        result = qufi.run_campaign(
+            target,
+            correct_states=states,
+            faults=make_faults(spec, cache),
+            points=points,
+            progress=progress,
+        )
+    result.metadata.update(stamps)
     return result

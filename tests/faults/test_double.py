@@ -11,6 +11,9 @@ from repro.faults import (
     fault_grid,
     find_neighbor_couples,
 )
+from repro.faults.fault_model import constrained_pairs
+from repro.faults.injection_points import cluster_sites
+from repro.quantum.circuit import QuantumCircuit
 from repro.simulators import DensityMatrixSimulator
 from repro.transpiler import jakarta_topology, linear_topology
 
@@ -126,3 +129,39 @@ class TestDoubleCampaign:
         result = self._run(exact_backend, bv4, report.couples[:1])
         assert result.metadata["mode"] == "double"
         assert result.is_double()
+
+
+class TestSharedClusterSweep:
+    """Double-fault sweeps are correlated sweeps over two-qubit clusters."""
+
+    def test_double_equals_pair_cluster_sweep(self, noisy_backend, bv4, report):
+        faults = fault_grid(
+            step_deg=90, phi_max_deg=180, include_phi_endpoint=True
+        )
+        double = QuFI(noisy_backend).run_double_campaign(
+            bv4, report.couples, faults=faults
+        )
+        pairs = constrained_pairs(faults)
+        correlated = QuFI(noisy_backend).run_correlated_campaign(
+            bv4, [((a, b), pairs) for a, b in report.couples]
+        )
+        assert double.num_injections > 0
+        assert double.table.data.tobytes() == correlated.table.data.tobytes()
+        assert double.fault_free_qvf == correlated.fault_free_qvf
+        assert "cluster_size" not in double.metadata
+        assert double.metadata["num_faults"] == len(faults)
+
+
+class TestClusterSites:
+    def test_measured_out_qubits_are_pruned(self):
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0)  # 0: every slot live
+        circuit.measure(2, 2)  # 1
+        circuit.x(0)  # 2: the outer slot q2 is measured out
+        circuit.measure(1, 1)  # 3
+        circuit.x(0)  # 4: the neighbour q1 is measured out
+        sites = cluster_sites(circuit, [(0, 1, 2)])
+        assert [(i, point.position, outer) for i, point, outer in sites] == [
+            (0, 0, (2,)),
+            (0, 2, ()),
+        ]

@@ -278,6 +278,25 @@ class TestCampaignExecutors:
         assert len(second["records"]) == len(first["records"])
         assert second["metadata"]["checkpointed"] is True
 
+    def test_checkpoint_keeps_the_budget_gate(self, tmp_path):
+        # 96 injections against a budget of 10: the checkpointed run
+        # must refuse exactly like the plain one, before opening a store.
+        checkpoint = str(tmp_path / "x.ckpt")
+        base = [
+            "campaign",
+            "--algorithm", "bv",
+            "--width", "3",
+            "--grid-step", "90",
+            "--noise", "none",
+            "--max-injections", "10",
+            "--output", str(tmp_path / "out.json"),
+        ]
+        with pytest.raises(ValueError, match="needs 96 injections"):
+            main(base)
+        with pytest.raises(ValueError, match="needs 96 injections"):
+            main(base + ["--checkpoint", checkpoint])
+        assert not os.path.exists(checkpoint)
+
 
 class TestPhysicsFlags:
     def run_campaign(self, tmp_path, *extra):
@@ -351,7 +370,7 @@ class TestPhysicsFlags:
             )
 
     def test_checkpoint_refuses_correlated_strikes(self, tmp_path):
-        with pytest.raises(SystemExit, match="correlated"):
+        with pytest.raises(ValueError, match="correlated"):
             self.run_campaign(
                 tmp_path,
                 "--algorithm", "bv",

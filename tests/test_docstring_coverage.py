@@ -21,6 +21,9 @@ GATED_PATHS = (
     "scenarios",
     "qec",
     os.path.join("faults", "executor.py"),
+    os.path.join("faults", "injector.py"),
+    os.path.join("faults", "checkpoint.py"),
+    os.path.join("faults", "injection_points.py"),
     os.path.join("faults", "layout_map.py"),
     os.path.join("faults", "physics.py"),
     os.path.join("simulators", "segments.py"),
