@@ -17,31 +17,27 @@ single-campaign segment checkpoint:
   produce byte-identical manifests — which is exactly what the CI suite
   smoke job asserts.
 
-Scheduling reuses work across campaigns: immutable artefacts (circuits,
-noise models, fault grids, neighbour couples) are memoised in a
-:class:`~repro.scenarios.factory.FactoryCache` keyed by spec fragments;
-completed campaigns are cached by full spec hash, so the duplicate
-campaigns a paper grid naturally contains (Figs. 8a, 9 and 10 all
-consume the same BV sweep, and Fig. 6 re-slices Fig. 5's) execute
-once; and all parallel scenarios
-share one long-lived worker pool (``ParallelExecutor.start``) instead of
-spawning a pool per campaign.
-
-Reuse also crosses suite boundaries: with a persistent
-:class:`~repro.scenarios.cache.ResultCache` configured (the default
-whenever a manifest directory exists), completed campaigns are published
-under their spec hash and later suites — any manifest, any process, any
-user sharing the cache directory — satisfy matching scenarios from the
-cached store instead of simulating (``source == "store"``). And
-``jobs=N`` turns the sequential campaign loop into campaign-level
-sharding (:mod:`repro.scenarios.shard`): distinct pending campaigns run
-concurrently on a shard pool, while manifests and segment stores stay
-byte-identical to sequential execution and kill/resume keeps working at
-campaign granularity.
+One suite-order walk (:meth:`SuiteRunner._walk`) decides what every
+scenario needs: a manifest resume, adoption of an earlier duplicate
+spec hash (Figs. 8a, 9 and 10 all consume the same BV sweep, and Fig. 6
+re-slices Fig. 5's), a hit in the persistent cross-suite
+:class:`~repro.scenarios.cache.ResultCache` (any manifest, process or
+user sharing the cache directory), or a compute — which the budgets may
+cut off. ``estimate_cost`` prices that walk with existence probes;
+``run`` executes it with real loads. ``jobs`` chooses only how the
+compute scenarios run: in process, in suite order, sharing one
+:class:`~repro.scenarios.factory.FactoryCache` and one long-lived worker
+pool per configuration (``ParallelExecutor.start``), or concurrently on
+a shard pool (:mod:`repro.scenarios.shard`). Either way each campaign
+goes through :func:`~repro.scenarios.shard.compute_once`, and results
+land in the manifest as they arrive, so manifests and segment stores
+are byte-identical across ``jobs`` and kill/resume works at campaign
+granularity.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -49,7 +45,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..faults.campaign import CampaignResult
 from ..faults.checkpoint import load_completed_store
@@ -62,7 +58,7 @@ from .factory import (
     estimate_scenario_injections,
     run_scenario,
 )
-from .shard import ShardScheduler
+from .shard import ShardScheduler, compute_once
 from .spec import ScenarioSpec, SuiteSpec
 
 __all__ = [
@@ -85,17 +81,6 @@ def _result_filename(scenario_id: str) -> str:
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", scenario_id)[:80]
     tag = hashlib.sha256(scenario_id.encode("utf-8")).hexdigest()[:6]
     return f"{safe}-{tag}.qfs"
-
-
-def _result_meta(result: CampaignResult) -> Dict[str, object]:
-    """The segment store's metadata header for one campaign.
-
-    Now defined once in :func:`repro.scenarios.cache.result_store_meta`
-    (manifest stores and cache entries share the schema, which is what
-    lets cache hits hard-link); kept here as an alias for existing
-    consumers.
-    """
-    return result_store_meta(result)
 
 
 def _entry_digest(result: CampaignResult) -> Dict[str, object]:
@@ -194,28 +179,37 @@ class SuiteRunner:
     spec hash, loadable record store) are *loaded*, everything else is
     computed and checkpointed as it finishes.
 
-    ``max_campaigns`` bounds how many campaigns this invocation may
-    *compute* (cache/manifest reuse is free); the suite returns with
-    ``complete=False`` when the budget stops it — re-running resumes.
+    Every decision comes from one suite-order walk (:meth:`_walk`) that
+    classifies each scenario as a manifest resume, a duplicate of an
+    earlier spec hash, a persistent-cache hit, or a compute. Only
+    computes cost anything, and only computes can be *cut off*:
 
-    ``budget_injections`` / ``budget_seconds`` gate the suite *before*
-    it runs: :meth:`estimate_cost` prices every pending scenario (exact
-    injection counts; seconds projected from the ``timings.json``
-    sidecar's recorded per-injection rate, when history exists) and an
-    over-budget suite is either rejected with the full per-scenario
-    report (``budget_action="reject"``, the default) or truncated to the
-    longest prefix that fits (``"truncate"`` — the suite returns
-    ``complete=False`` and re-running with a larger budget resumes).
+    * ``max_campaigns`` bounds how many campaigns this invocation may
+      dispatch for compute;
+    * ``budget_injections`` / ``budget_seconds`` gate the suite *before*
+      it runs: :meth:`estimate_cost` prices the walk (exact injection
+      counts; seconds projected from the ``timings.json`` sidecar's
+      recorded per-injection rate, when history exists) and an
+      over-budget suite is either rejected with the full per-scenario
+      report (``budget_action="reject"``, the default) or truncated to
+      the longest prefix that fits (``"truncate"``);
+    * with ``"truncate"``, ``budget_seconds`` is also checked against
+      the elapsed wall clock whenever a campaign is dispatched. With
+      ``jobs=1`` that stops the run at a campaign boundary; with more
+      jobs every campaign is dispatched at once, so seconds are bounded
+      by the pre-run estimate.
 
-    ``jobs`` shards the run at campaign granularity: distinct pending
-    campaigns execute concurrently on a pool of ``jobs`` shard
-    processes (:class:`~repro.scenarios.shard.ShardScheduler`), each
-    shard's intra-campaign parallelism capped so shards x workers never
-    exceeds ``host_workers`` (default: the host's CPU count). Manifests
+    The first cut-off ends the run (prefix semantics): the suite returns
+    with ``complete=False`` and re-running resumes.
+
+    ``jobs`` chooses only how the computes run. ``jobs=1`` runs each in
+    process when the walk reaches it; more shard them onto a pool of
+    ``jobs`` processes (:class:`~repro.scenarios.shard.ShardScheduler`),
+    each shard's intra-campaign parallelism capped so shards x workers
+    never exceeds ``host_workers`` (default: the host's CPU count), and
+    a duplicate of a campaign still in flight waits for it. Manifests
     and stores come out byte-identical to ``jobs=1``; only wall clock
-    (and the nondeterministic ``timings.json`` values) differ. The
-    run-time ``budget_seconds`` gate is sequential-only — a sharded run
-    bounds seconds through the pre-run estimate.
+    (and the nondeterministic ``timings.json`` values) differ.
 
     ``cache_dir`` / ``use_cache`` configure the persistent cross-suite
     result cache (:class:`~repro.scenarios.cache.ResultCache`).
@@ -383,23 +377,72 @@ class SuiteRunner:
     def _store_path(self, entry: Dict[str, object]) -> str:
         return os.path.join(self.manifest_dir, entry["result_file"])
 
+    def _resumable(
+        self, entry: Dict[str, object], scenario: ScenarioSpec
+    ) -> bool:
+        """Whether the manifest records ``scenario`` as done (no I/O)."""
+        return (
+            entry.get("status") == "done"
+            and entry.get("spec_hash") == scenario.spec_hash()
+        )
+
     def _load_completed(
         self, entry: Dict[str, object], scenario: ScenarioSpec
     ) -> Optional[CampaignResult]:
         """A previous run's result for ``entry``, if intact."""
-        if entry.get("status") != "done":
-            return None
-        if entry.get("spec_hash") != scenario.spec_hash():
+        if not self._resumable(entry, scenario):
             return None
         return load_completed_store(self._store_path(entry))
 
     def _store_result(
         self, entry: Dict[str, object], result: CampaignResult
     ) -> None:
-        compact(self._store_path(entry), _result_meta(result), result.table)
+        compact(
+            self._store_path(entry), result_store_meta(result), result.table
+        )
         entry["status"] = "done"
         entry["digest"] = _entry_digest(result)
         self._write_manifest()
+
+    # ------------------------------------------------------------------
+    # The suite walk: one classification for pricing and execution
+    # ------------------------------------------------------------------
+    def _walk(
+        self,
+        entries: List[Dict[str, object]],
+        resume: Callable[[Dict[str, object], ScenarioSpec], object],
+        cached: Callable[[str], object],
+    ) -> Iterator[Tuple[int, ScenarioSpec, str, object]]:
+        """Classify every scenario, in suite order.
+
+        Yields ``(index, scenario, source, found)``, where ``source`` is
+        the :attr:`ScenarioRun.source` the scenario gets: ``"manifest"``
+        when ``resume(entry, scenario)`` finds it, ``"cache"`` when an
+        earlier scenario (or an earlier run of this runner) has its spec
+        hash, ``"store"`` when ``cached(spec_hash)`` finds it, and
+        ``"computed"`` otherwise. ``found`` is what the probe returned;
+        a probe misses by returning something falsy.
+
+        :meth:`estimate_cost` walks with existence probes, :meth:`run`
+        with loads — so a store that fails to load falls through to a
+        compute, which is how a corrupt store repairs itself. Admission
+        (the cut-off) applies to computes only and is left to the
+        consumer: pricing charges them against the budgets, execution
+        stops at the first one it may not dispatch.
+        """
+        seen = set(self._by_hash)
+        for index, (entry, scenario) in enumerate(zip(entries, self.suite)):
+            spec_hash = scenario.spec_hash()
+            found = resume(entry, scenario)
+            if found:
+                source = "manifest"
+            elif spec_hash in seen:
+                source = "cache"
+            else:
+                found = cached(spec_hash)
+                source = "store" if found else "computed"
+            seen.add(spec_hash)
+            yield index, scenario, source, found
 
     # ------------------------------------------------------------------
     # Pre-run cost estimation
@@ -432,46 +475,45 @@ class SuiteRunner:
     def estimate_cost(self) -> Dict[str, object]:
         """Price the suite before running it.
 
-        Walks the suite in order, charging each scenario its injection
-        estimate (:func:`~repro.scenarios.factory.estimate_scenario_injections`;
-        zero for scenarios already satisfied by the manifest or by an
-        earlier duplicate spec hash) and, when the ``timings.json``
-        sidecar holds history, a projected wall clock. Scenarios are
-        admitted prefix-wise against the configured budgets: once one
-        does not fit, it and every later costed scenario are excluded —
-        matching the truncation the runner would apply, so the estimate
-        *is* the execution plan.
+        Prices the same walk :meth:`run` executes (:meth:`_walk`),
+        probing only for existence: manifest status and spec hash,
+        earlier spec hashes, and ``ResultCache.has``. Each compute is
+        charged its injection estimate
+        (:func:`~repro.scenarios.factory.estimate_scenario_injections`)
+        and, when the ``timings.json`` sidecar holds history, a
+        projected wall clock; resumes, duplicates and cache hits cost
+        nothing. Computes are admitted prefix-wise against the
+        configured budgets: once one does not fit, it and every later
+        compute are excluded, and :meth:`run` stops at the first
+        excluded one.
 
         Returns a dict with per-scenario rows, the admitted totals, the
         history rate, and the ``excluded`` ids (empty = within budget).
         """
-        persist = self.manifest_dir is not None and os.path.exists(
-            self._manifest_path()
+        return self._price(
+            self._load_entries()
+            if self.manifest_dir is not None
+            else self._fresh_entries()
         )
-        entries = self._load_entries() if persist else self._fresh_entries()
+
+    def _price(self, entries: List[Dict[str, object]]) -> Dict[str, object]:
+        """:meth:`estimate_cost` over already-loaded manifest entries."""
         rate = self._history_rate(entries)
+        cache = self._cache
         rows: List[Dict[str, object]] = []
         excluded: List[str] = []
-        seen_hashes: set = set()
         total_injections = 0
         total_seconds = 0.0
         truncated = False
-        for entry, scenario in zip(entries, self.suite):
-            spec_hash = scenario.spec_hash()
-            reused = (
-                (
-                    entry.get("status") == "done"
-                    and entry.get("spec_hash") == spec_hash
-                )
-                or spec_hash in seen_hashes
-                # A persistent-cache hit is admission-free: the run will
-                # link the cached store in instead of simulating. (A
-                # corrupt entry prices as a hit and repairs itself by
-                # recomputing when reached — by then admission is past,
-                # which errs on the side of running, like resume does.)
-                or (self._cache is not None and self._cache.has(spec_hash))
-            )
-            seen_hashes.add(spec_hash)
+        for _, scenario, source, _ in self._walk(
+            entries,
+            self._resumable,
+            # A corrupt cache entry prices as a hit and repairs itself
+            # by recomputing when the run reaches it — by then admission
+            # is past, which errs on the side of running, like resume.
+            lambda spec_hash: cache is not None and cache.has(spec_hash),
+        ):
+            reused = source != "computed"
             injections = (
                 0
                 if reused
@@ -572,258 +614,127 @@ class SuiteRunner:
             },
         )
 
-    def _cache_hit(
-        self,
-        entry: Dict[str, object],
-        scenario: ScenarioSpec,
-        persist: bool,
-    ) -> Optional[ScenarioRun]:
-        """A persistent-cache hit for ``scenario``, landed in the manifest.
-
-        Loads the cache entry under the scenario's spec hash (a corrupt
-        entry is discarded by the cache and reads as a miss, so the
-        caller recomputes — repairing it in place), re-badges the result
-        with this scenario's identity, and writes the manifest store: a
-        cache hit leaves the manifest byte-identical to a compute.
-        """
-        if self._cache is None:
-            return None
-        loaded = self._cache.load(scenario.spec_hash())
-        if loaded is None:
-            return None
-        result = self._adopt(scenario, loaded)
-        if persist:
-            self._store_result(entry, result)
-        return ScenarioRun(scenario, result, 0.0, "store")
-
-    def _simulate(
-        self,
-        entry: Dict[str, object],
-        scenario: ScenarioSpec,
-        persist: bool,
-    ) -> ScenarioRun:
-        """Execute one campaign in-process and checkpoint it."""
-        tick = time.perf_counter()
-        result = run_scenario(
+    def _compute(self, scenario: ScenarioSpec) -> CampaignResult:
+        """Simulate one campaign in process, on the runner's shared
+        factory cache and worker pools."""
+        return run_scenario(
             scenario,
             cache=self.cache,
             executor=self._shared_executor(scenario),
         )
-        seconds = time.perf_counter() - tick
-        self._timings[scenario.scenario_id] = seconds
-        if persist:
-            self._store_result(entry, result)
-        return ScenarioRun(scenario, result, seconds, "computed")
 
-    def _compute_scenario(
-        self,
-        entry: Dict[str, object],
-        scenario: ScenarioSpec,
-        persist: bool,
-    ) -> ScenarioRun:
-        """Run one campaign — or take a last-moment cache hit — and persist.
-
-        With a cache configured the whole check-compute-publish sequence
-        holds the spec hash's exclusive file lock, with a
-        post-acquisition re-check: two runners racing on a shared cache
-        compute each spec exactly once (the loser blocks, then loads the
-        winner's entry). Completed computes publish back to the cache,
-        hard-linking the just-written manifest store where possible.
-        """
-        if self._cache is None:
-            return self._simulate(entry, scenario, persist)
-        spec_hash = scenario.spec_hash()
-        with self._cache.lock(spec_hash):
-            hit = self._cache_hit(entry, scenario, persist)
-            if hit is not None:
-                return hit
-            run = self._simulate(entry, scenario, persist)
-            self._cache.put(
-                spec_hash,
-                run.result,
-                store_path=self._store_path(entry) if persist else None,
-            )
-        return run
-
-    def _run_sequential(
-        self, outcome: SuiteResult, denied: set, persist: bool,
-        started: float, progress,
+    def _execute(
+        self, outcome: SuiteResult, denied: set, started: float, progress
     ) -> None:
-        """The ``jobs=1`` campaign loop (see :meth:`run`)."""
-        computed = 0
-        for index, scenario in enumerate(self.suite):
-            entry = self._entries[index]
-            spec_hash = scenario.spec_hash()
-            run = None
+        """Execute the walk (see :meth:`run`).
 
-            if persist:
-                existing = self._load_completed(entry, scenario)
-                if existing is not None:
-                    run = ScenarioRun(scenario, existing, 0.0, "manifest")
-
-            if run is None and spec_hash in self._by_hash:
-                # Spec-hash cache: an identical campaign (relabelled
-                # duplicate, or loaded from the manifest) already ran.
-                result = self._adopt(scenario, self._by_hash[spec_hash])
-                run = ScenarioRun(scenario, result, 0.0, "cache")
-                if persist:
-                    self._store_result(entry, result)
-
-            if run is None:
-                # Persistent-cache fast path: a hit is admission-free
-                # (like manifest resume), so it precedes every budget
-                # gate below.
-                run = self._cache_hit(entry, scenario, persist)
-
-            if run is None:
-                if (
-                    self.max_campaigns is not None
-                    and computed >= self.max_campaigns
-                ):
-                    outcome.complete = False
-                    break
-                if scenario.scenario_id in denied:
-                    # The pre-run estimate truncated the suite here;
-                    # everything costed after this point was denied
-                    # with it (prefix semantics), so stop cleanly —
-                    # re-running with a larger budget resumes.
-                    outcome.complete = False
-                    break
-                if (
-                    self.budget_seconds is not None
-                    and self.budget_action == "truncate"
-                    and time.perf_counter() - started
-                    > self.budget_seconds
-                ):
-                    # Runtime seconds gate: estimates (or absent
-                    # history) can undershoot; degrade gracefully at
-                    # a campaign boundary instead of running long.
-                    outcome.complete = False
-                    break
-                run = self._compute_scenario(entry, scenario, persist)
-                if run.source == "computed":
-                    computed += 1
-
-            self._by_hash.setdefault(spec_hash, run.result)
-            outcome.runs.append(run)
-            if progress is not None:
-                progress(
-                    len(outcome.runs),
-                    len(self.suite),
-                    scenario.scenario_id,
-                )
-
-    def _run_sharded(
-        self, outcome: SuiteResult, denied: set, persist: bool, progress
-    ) -> None:
-        """The ``jobs>1`` path: distinct pending campaigns on a shard pool.
-
-        Four stages. (1) *Scope*: walk the suite in order, resolving
-        what never needs a shard — manifest resumes, persistent-cache
-        hits — and collecting the distinct unresolved first occurrences,
-        stopping at the first scenario the budgets deny (the same prefix
-        semantics as the sequential loop). (2) *Execute*: dispatch the
-        collected campaigns onto the shard pool; each shard computes (or
-        cache-loads) one whole campaign under the cache's per-spec lock.
-        (3) *Land*: as results arrive — in completion order — write each
-        one's store and manifest entry, so a kill mid-run leaves exactly
-        the completed campaigns resumable, like sequential execution.
-        (4) *Assemble*: rebuild ``outcome.runs`` in suite order,
-        adopting relabelled duplicates. Per-campaign determinism makes
-        the manifest and stores byte-identical to a ``jobs=1`` run.
+        *Land*: every result — resumed, adopted, loaded from the cache
+        or computed — is landed as soon as it exists: its store and
+        manifest entry are written and ``progress`` ticks, so a kill
+        mid-run leaves exactly the landed campaigns resumable. A
+        duplicate whose first occurrence is still on a shard lands once
+        that arrives. *Compute*: with ``jobs=1`` in process, right when
+        the walk reaches it (under the cache lock, landing before the
+        publish so the cache entry hard-links the manifest store); with
+        more, dispatched to the shard pool and landed in completion
+        order. *Assemble*: ``outcome.runs`` in suite order, up to the
+        cut-off.
         """
+        persist = self.manifest_dir is not None
         scenarios = list(self.suite)
-        total = len(scenarios)
-        first_at = {index for index, _ in self.suite.first_occurrences()}
-        resolved: Dict[int, ScenarioRun] = {}
-        to_schedule: List[Tuple[int, ScenarioSpec]] = []
-        cutoff = total
-        ticked = 0
+        landed: Dict[int, ScenarioRun] = {}
+        cutoff = len(scenarios)
+        dispatched = 0
 
-        def tick(scenario_id: str) -> None:
-            nonlocal ticked
-            ticked += 1
+        def land(
+            index: int, result: CampaignResult, seconds: float, source: str
+        ) -> Optional[str]:
+            """Record one result; returns the manifest store written."""
+            scenario = scenarios[index]
+            if source in ("cache", "store"):
+                result = self._adopt(scenario, result)
+            elif source == "computed":
+                self._timings[scenario.scenario_id] = seconds
+            self._by_hash.setdefault(scenario.spec_hash(), result)
+            store_path = None
+            if persist and source != "manifest":
+                self._store_result(self._entries[index], result)
+                store_path = self._store_path(self._entries[index])
+            landed[index] = ScenarioRun(scenario, result, seconds, source)
             if progress is not None:
-                progress(ticked, total, scenario_id)
+                progress(len(landed), len(scenarios), scenario.scenario_id)
+            return store_path
 
-        for index, scenario in enumerate(scenarios):
-            entry = self._entries[index]
+        for index, scenario, source, found in self._walk(
+            self._entries,
+            self._load_completed,
+            self._cache.load if self._cache is not None else lambda _: None,
+        ):
             spec_hash = scenario.spec_hash()
-            if persist:
-                existing = self._load_completed(entry, scenario)
-                if existing is not None:
-                    resolved[index] = ScenarioRun(
-                        scenario, existing, 0.0, "manifest"
-                    )
-                    self._by_hash.setdefault(spec_hash, existing)
-                    tick(scenario.scenario_id)
-                    continue
-            if index not in first_at or spec_hash in self._by_hash:
-                # Relabelled duplicate — adopts its first occurrence's
-                # result during assembly.
-                continue
-            hit = self._cache_hit(entry, scenario, persist)
-            if hit is not None:
-                resolved[index] = hit
-                self._by_hash.setdefault(spec_hash, hit.result)
-                tick(scenario.scenario_id)
-                continue
-            if scenario.scenario_id in denied:
+            if source in ("manifest", "store"):
+                land(index, found, 0.0, source)
+            elif source == "cache":
+                if spec_hash in self._by_hash:  # else in flight: see below
+                    land(index, self._by_hash[spec_hash], 0.0, "cache")
+            elif not self._admits(scenario, dispatched, denied, started):
                 cutoff = index
+                outcome.complete = False
                 break
-            if (
-                self.max_campaigns is not None
-                and len(to_schedule) >= self.max_campaigns
-            ):
-                cutoff = index
-                break
-            to_schedule.append((index, scenario))
-        if cutoff < total:
-            outcome.complete = False
+            elif self.jobs > 1:
+                dispatched += 1
+                self._shards().submit(index, scenario)
+            else:
+                dispatched += 1
+                result, _, from_cache = compute_once(
+                    scenario,
+                    self._compute,
+                    self._cache,
+                    functools.partial(land, index, source="computed"),
+                )
+                if from_cache:
+                    land(index, result, 0.0, "store")
 
-        if to_schedule:
-            scheduler = ShardScheduler(
+        if self._scheduler is not None:
+            for index, result, seconds, hit in self._scheduler.results():
+                land(index, result, seconds, "store" if hit else "computed")
+        for index in range(cutoff):
+            if index not in landed:
+                # A duplicate whose first occurrence was on a shard.
+                spec_hash = scenarios[index].spec_hash()
+                land(index, self._by_hash[spec_hash], 0.0, "cache")
+            outcome.runs.append(landed[index])
+
+    def _shards(self) -> ShardScheduler:
+        """The shard pool, opened at the first dispatch."""
+        if self._scheduler is None:
+            cache = self._cache
+            self._scheduler = ShardScheduler(
                 jobs=self.jobs,
-                cache_dir=(
-                    self._cache.root if self._cache is not None else None
-                ),
+                cache_dir=cache.root if cache is not None else None,
                 host_workers=self.host_workers,
             )
-            self._scheduler = scheduler
-            scheduler.start()
-            for index, scenario in to_schedule:
-                scheduler.submit(index, scenario)
-            for index, result, seconds, from_cache in scheduler.results():
-                scenario = scenarios[index]
-                entry = self._entries[index]
-                if from_cache:
-                    result = self._adopt(scenario, result)
-                    run = ScenarioRun(scenario, result, 0.0, "store")
-                else:
-                    self._timings[scenario.scenario_id] = seconds
-                    run = ScenarioRun(scenario, result, seconds, "computed")
-                resolved[index] = run
-                self._by_hash.setdefault(scenario.spec_hash(), result)
-                if persist:
-                    self._store_result(entry, result)
-                tick(scenario.scenario_id)
-            scheduler.shutdown()
-            self._scheduler = None
+        return self._scheduler
 
-        for index in range(cutoff):
-            scenario = scenarios[index]
-            run = resolved.get(index)
-            if run is None:
-                # Duplicate: its first occurrence resolved above (it
-                # precedes the cutoff by construction).
-                result = self._adopt(
-                    scenario, self._by_hash[scenario.spec_hash()]
-                )
-                run = ScenarioRun(scenario, result, 0.0, "cache")
-                if persist:
-                    self._store_result(self._entries[index], result)
-                tick(scenario.scenario_id)
-            outcome.runs.append(run)
+    def _admits(
+        self,
+        scenario: ScenarioSpec,
+        dispatched: int,
+        denied: set,
+        started: float,
+    ) -> bool:
+        """Whether a compute may be dispatched; a refusal cuts off."""
+        if self.max_campaigns is not None and dispatched >= self.max_campaigns:
+            return False
+        if scenario.scenario_id in denied:
+            # The pre-run estimate excluded it, and every compute after.
+            return False
+        # Runtime seconds gate: estimates (or absent history) can
+        # undershoot; stop at a campaign boundary instead of running long.
+        return not (
+            self.budget_seconds is not None
+            and self.budget_action == "truncate"
+            and time.perf_counter() - started > self.budget_seconds
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -856,8 +767,8 @@ class SuiteRunner:
         """Execute (or resume) the suite and return the aggregate.
 
         ``progress`` is called as ``progress(done, total, scenario_id)``
-        after each scenario completes (suite order when sequential,
-        completion order when sharded).
+        as each scenario lands: in suite order with ``jobs=1``; with
+        more jobs, computes tick in completion order.
         """
         persist = self.manifest_dir is not None
         if persist:
@@ -876,7 +787,7 @@ class SuiteRunner:
             self.budget_injections is not None
             or self.budget_seconds is not None
         ):
-            estimate = self.estimate_cost()
+            estimate = self._price(self._entries)
             report = format_cost_report(estimate)
             outcome.budget_report = report
             if estimate["excluded"]:
@@ -890,12 +801,7 @@ class SuiteRunner:
         started = time.perf_counter()
         finished = False
         try:
-            if self.jobs > 1:
-                self._run_sharded(outcome, denied, persist, progress)
-            else:
-                self._run_sequential(
-                    outcome, denied, persist, started, progress
-                )
+            self._execute(outcome, denied, started, progress)
             finished = True
         finally:
             self.close()

@@ -1,13 +1,19 @@
-"""Campaign-level sharding: whole scenarios as pool work units.
+"""Campaign-level sharding and the one compute-once step.
 
-``SuiteRunner`` has always parallelised *inside* a campaign (the
-``parallel`` executor fans injection chunks over a process pool), but
-executed campaigns one after another. A :class:`ShardScheduler` adds the
-outer level: independent campaigns — the suite's distinct spec hashes —
-are dispatched concurrently onto a shard pool of ``jobs`` processes,
-each shard executing one whole campaign end to end (scope → execute →
-publish, with the per-spec-hash lock of the result cache as the
-publish gate).
+``SuiteRunner`` walks a suite once, in order, and classifies every
+scenario (manifest resume, duplicate, cache hit, compute, cut off); its
+``jobs`` setting decides only how the *compute* scenarios run. With
+``jobs=1`` they run in process as the walk reaches them. With more, a
+:class:`ShardScheduler` dispatches them onto a pool of ``jobs`` shard
+processes, each shard executing one whole campaign end to end, and the
+runner lands results as they arrive.
+
+Both ways run a campaign through :func:`compute_once`, the only place
+that takes the persistent result cache's per-spec-hash lock: lock,
+re-check the cache (the loser of a race between suites, processes or
+shards finds the winner's entry here instead of recomputing), compute,
+publish under the lock. Two runs racing on one spec hash compute it
+exactly once between them.
 
 Two properties make campaign-granularity shards safe:
 
@@ -24,12 +30,6 @@ Two properties make campaign-granularity shards safe:
   ``workers``, which keeps sampled-campaign records byte-identical to
   sequential execution.
 
-Shard workers coordinate through the persistent result cache when one
-is configured: each job takes the entry's ``flock`` before computing,
-re-checks the cache after acquiring, and publishes its completed store
-under the lock — so two suites (or two shards) racing on the same spec
-hash compute it exactly once between them.
-
 Like the intra-campaign pool, the shard pool degrades gracefully:
 sandboxes that forbid subprocesses fall back to in-process execution of
 the queued jobs (with a ``RuntimeWarning``), preserving results at the
@@ -38,12 +38,14 @@ cost of concurrency.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterator, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..faults.campaign import CampaignResult
 from .cache import ResultCache
@@ -52,22 +54,52 @@ from .spec import ScenarioSpec
 
 __all__ = ["ShardScheduler"]
 
-#: One shard job's outcome: the campaign, its compute wall clock
-#: (0.0 for cache hits), and whether the persistent cache satisfied it.
+#: One campaign's outcome: the result, its compute wall clock (0.0 for
+#: cache hits), and whether the persistent cache satisfied it.
 _JobOutcome = Tuple[CampaignResult, float, bool]
+
+
+def compute_once(
+    spec: ScenarioSpec,
+    compute: Callable[[ScenarioSpec], CampaignResult],
+    cache: Optional[ResultCache] = None,
+    land: Optional[Callable[[CampaignResult, float], Optional[str]]] = None,
+) -> _JobOutcome:
+    """Run one campaign at most once across everything sharing ``cache``.
+
+    With a cache, the spec hash's exclusive lock is held across
+    re-check → compute → publish: a hit found after acquiring returns
+    the cached result, anything else is computed by ``compute(spec)``
+    and published. Without one, the campaign is just computed.
+
+    ``land(result, seconds)``, given by in-process callers, lands a
+    computed result before it is published (still under the lock) and
+    returns the path of the store it wrote, or ``None``; the cache entry
+    then hard-links those bytes instead of writing its own copy.
+    """
+    spec_hash = spec.spec_hash()
+    with cache.lock(spec_hash) if cache is not None else nullcontext():
+        loaded = cache.load(spec_hash) if cache is not None else None
+        if loaded is not None:
+            return loaded, 0.0, True
+        tick = time.perf_counter()
+        result = compute(spec)
+        seconds = time.perf_counter() - tick
+        store_path = land(result, seconds) if land is not None else None
+        if cache is not None:
+            cache.put(spec_hash, result, store_path=store_path)
+    return result, seconds, False
 
 
 def _compute_job(
     spec: ScenarioSpec, worker_cap: Optional[int]
-) -> Tuple[CampaignResult, float]:
+) -> CampaignResult:
     """Run one campaign, honouring the shard's worker budget."""
     factory_cache = FactoryCache()
     executor = None
     if spec.executor == "parallel":
         executor = make_executor(spec, factory_cache, pool_cap=worker_cap)
-    tick = time.perf_counter()
-    result = run_scenario(spec, cache=factory_cache, executor=executor)
-    return result, time.perf_counter() - tick
+    return run_scenario(spec, cache=factory_cache, executor=executor)
 
 
 def _execute_job(
@@ -75,25 +107,12 @@ def _execute_job(
     cache_dir: Optional[str],
     worker_cap: Optional[int],
 ) -> _JobOutcome:
-    """One shard's whole unit of work (runs inside a pool process).
-
-    With a cache: take the spec hash's exclusive lock, re-check the
-    cache (the loser of a cross-process race finds the winner's entry
-    here instead of recomputing), and otherwise compute and publish
-    under the lock. Without one: just compute.
-    """
-    if cache_dir is None:
-        result, seconds = _compute_job(spec, worker_cap)
-        return result, seconds, False
-    cache = ResultCache(cache_dir)
-    spec_hash = spec.spec_hash()
-    with cache.lock(spec_hash):
-        loaded = cache.load(spec_hash)
-        if loaded is not None:
-            return loaded, 0.0, True
-        result, seconds = _compute_job(spec, worker_cap)
-        cache.put(spec_hash, result)
-    return result, seconds, False
+    """One shard's whole unit of work (runs inside a pool process)."""
+    return compute_once(
+        spec,
+        functools.partial(_compute_job, worker_cap=worker_cap),
+        ResultCache(cache_dir) if cache_dir is not None else None,
+    )
 
 
 class ShardScheduler:
@@ -104,7 +123,7 @@ class ShardScheduler:
     shards — each shard's campaigns run their parallel executors capped
     at ``worker_cap = max(1, host_workers // jobs)`` pool processes.
     ``cache_dir`` routes every job through the persistent result cache's
-    compute-once locking (see :func:`_execute_job`).
+    compute-once locking (see :func:`compute_once`).
 
     Lifecycle: :meth:`start`, :meth:`submit` each job, drain
     :meth:`results` (completion order), :meth:`shutdown` — or use the
